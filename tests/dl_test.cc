@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -229,6 +232,11 @@ struct GradCheckCase {
   std::string name;
   std::function<Net()> build;
 };
+
+// Printed by name: gtest would otherwise dump the case's bytes (string and
+// std::function pointers), and the discovered ctest names would change with
+// every run of the discovery.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
 
 class NetGradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 

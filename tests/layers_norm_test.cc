@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/rng.h"
 #include "dl/gradcheck.h"
@@ -194,11 +196,20 @@ Net build_lrn_avgpool_net() {
   return net;
 }
 
-class NormGradCheck : public ::testing::TestWithParam<Net (*)()> {};
+struct NormGradCase {
+  const char* name;
+  Net (*build)();
+};
+
+// Printed by name: gtest would otherwise dump the function pointer, and the
+// discovered ctest names would change with every load address.
+void PrintTo(const NormGradCase& c, std::ostream* os) { *os << c.name; }
+
+class NormGradCheck : public ::testing::TestWithParam<NormGradCase> {};
 
 TEST_P(NormGradCheck, AnalyticMatchesNumeric) {
   common::Rng rng(77);
-  Net net = GetParam()();
+  Net net = GetParam().build();
   net.init_params(rng);
   Tensor& data = net.input("data");
   data.reshape({2, 3, 8, 8});
@@ -212,7 +223,11 @@ TEST_P(NormGradCheck, AnalyticMatchesNumeric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nets, NormGradCheck,
-                         ::testing::Values(&build_bn_net, &build_lrn_avgpool_net));
+                         ::testing::Values(NormGradCase{"bn", &build_bn_net},
+                                           NormGradCase{"lrn_avgpool", &build_lrn_avgpool_net}),
+                         [](const ::testing::TestParamInfo<NormGradCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(ModelZoo, MiniInceptionResnetForwardBackward) {
   common::Rng rng(7);
