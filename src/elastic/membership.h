@@ -119,9 +119,10 @@ struct MembershipPolicy {
   /// Minimum heartbeat silence before the projection is trusted at all —
   /// an absolute guard against quarantining a worker over scheduler noise.
   double min_silence_seconds = 0.1;
-  /// Planning bound: an injected stall at least this long is expected to
-  /// trip the detector (membership_schedule derives planned quarantines
-  /// from the fault plan with it).
+  /// Planning bound: an injected stall at least this long trips the
+  /// detector (membership_schedule derives planned quarantines from the
+  /// fault plan with it, and the functional detector treats a silence this
+  /// long as a violation once it projects past the readmit bound).
   double quarantine_stall_seconds = 0.35;
   /// The Nth staleness violation evicts instead of quarantining.
   int evict_after_violations = 3;

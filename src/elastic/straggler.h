@@ -18,6 +18,10 @@
 //
 //   * alive + projected > staleness_bound (and silence past the absolute
 //     noise guard) -> one violation: quarantine, or evict on the Nth;
+//   * alive + silent for at least quarantine_stall_seconds while the
+//     cohort ran past the readmit bound -> a violation even under the
+//     staleness bound, so a stall the plan expects to trip the detector
+//     trips it on a slow host too;
 //   * quarantined + projected back under the readmit bound (the worker
 //     reported recently, so its silence collapsed) -> readmit.
 //
@@ -60,14 +64,23 @@ struct StragglerTransition {
 };
 
 /// Verdict for an *alive* worker: `prior_violations` staleness violations
-/// already on record (the pending one is counted on top).
+/// already on record (the pending one is counted on top).  A silence of at
+/// least policy.quarantine_stall_seconds is a violation once the cohort has
+/// run past the readmit bound meanwhile, even under the staleness bound:
+/// the planning bound promises that such a stall trips the detector, and
+/// on a slow host (a sanitizer build, an oversubscribed machine) the
+/// projection alone can stay under the staleness bound.  A cohort whose
+/// own iterations take that long projects under the readmit bound and is
+/// not straggling.
 [[nodiscard]] inline StragglerVerdict judge_alive(double silence_seconds,
                                                   double mean_live_rate,
                                                   int prior_violations,
                                                   const MembershipPolicy& policy) {
   if (silence_seconds <= policy.min_silence_seconds) return StragglerVerdict::kNone;
-  if (projected_staleness(silence_seconds, mean_live_rate) <=
-      policy.staleness_bound_iterations) {
+  const double projected = projected_staleness(silence_seconds, mean_live_rate);
+  const bool stalled = silence_seconds >= policy.quarantine_stall_seconds &&
+                       projected > policy.readmit_staleness_iterations;
+  if (!stalled && projected <= policy.staleness_bound_iterations) {
     return StragglerVerdict::kNone;
   }
   return prior_violations + 1 >= policy.evict_after_violations
@@ -77,9 +90,12 @@ struct StragglerTransition {
 
 /// Verdict for a *quarantined* worker: readmit once its projected staleness
 /// collapses under the readmit bound (a fresh heartbeat does exactly that).
+/// A worker still silent past the stall bound is never readmitted, so a
+/// slow host's low rate cannot readmit a worker that is still stalled.
 [[nodiscard]] inline StragglerVerdict judge_quarantined(double silence_seconds,
                                                         double mean_live_rate,
                                                         const MembershipPolicy& policy) {
+  if (silence_seconds >= policy.quarantine_stall_seconds) return StragglerVerdict::kNone;
   return projected_staleness(silence_seconds, mean_live_rate) <=
                  policy.readmit_staleness_iterations
              ? StragglerVerdict::kReadmit
