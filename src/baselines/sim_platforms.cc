@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "coll/pcie_model.h"
+#include "core/config.h"
 #include "fault/injector.h"
 #include "minimpi/sim_mpi.h"
 #include "net/fabric.h"
@@ -225,17 +226,12 @@ cluster::PlatformTiming simulate_caffe_mpi(const SimPlatformOptions& options) {
   cluster::PlatformTiming timing = acc.finish(options.iterations, sim.now());
   if (acc.rounds < options.iterations) timing.crashed_workers = 1;
   if (membership.has_value()) {
-    timing.joined_workers = membership->joined();
-    timing.drained_workers = membership->drained();
-    timing.rebalances = membership->rebalances();
-    timing.quarantine_events = membership->quarantine_events();
     // Planned joins/drains only (no straggler detection in a synchronous
     // star), filtered by what the run reached before any crash truncation.
-    const elastic::MembershipPolicy policy;
-    timing.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(
-            elastic::membership_schedule(options.membership, nullptr, policy, k),
-            membership->execution()));
+    core::fill_membership_outcome(
+        timing, *membership,
+        elastic::membership_schedule(options.membership, nullptr, elastic::MembershipPolicy{},
+                                     k));
   }
   return timing;
 }

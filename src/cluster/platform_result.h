@@ -1,4 +1,5 @@
-// Common result type of the timed platform models.
+// Common result types of the timed platform models, and the run outcome
+// they share with the functional trainer.
 #pragma once
 
 #include <cstdint>
@@ -8,13 +9,60 @@
 
 namespace shmcaffe::cluster {
 
+/// What a run did about recovery, elastic membership and data integrity —
+/// the fields the functional trainer (core::TrainResult) and the timed
+/// models (PlatformTiming) report alike, so one plan can be checked across
+/// the two stacks.  The functional stack *observes* each value from its
+/// services, servers and threads; the simulator *models* it from the plan,
+/// the policy and its own modelled timing.  The fingerprints are the
+/// contract: equal values mean both stacks executed the same schedule.
+struct RunOutcome {
+  /// Worker slots re-admitted mid-run, ascending.  Functional: slots whose
+  /// fenced or crashed worker was respawned or recovered.  Model: the
+  /// leading slot of each group whose replacement ran.  A slot can also be
+  /// dead or crashed: its first life died, it finished under a new one.
+  std::vector<int> recovered_workers;
+  /// SMB primary failovers executed across all shard ensembles (observed
+  /// from each ensemble's failover log; modelled per failed active replica).
+  std::int64_t smb_failovers = 0;
+  /// Fingerprint of the recovery actions executed, in planned order (see
+  /// recovery::schedule_fingerprint).  0 without a fault plan.
+  std::uint64_t recovery_fingerprint = 0;
+  /// Elastic membership, read from the run's elastic::MembershipService on
+  /// both stacks (core::fill_membership_outcome): workers that cold-joined
+  /// and that voluntarily drained mid-run, ascending; shard-map rebalances
+  /// executed; straggler quarantine demotions.
+  std::vector<int> joined_workers;
+  std::vector<int> drained_workers;
+  std::int64_t rebalances = 0;
+  std::int64_t quarantine_events = 0;
+  /// Fingerprint of the membership transitions executed: the planned
+  /// schedule filtered by the service's execution (see
+  /// elastic::membership_fingerprint).  0 when the run is neither elastic
+  /// nor straggler-aware.
+  std::uint64_t membership_fingerprint = 0;
+  /// Data integrity.  Distinct corruption markers caught by checksum
+  /// verification (functional: collected from the SMB servers; model: each
+  /// planned corruption or torn write that lands on a live replica before
+  /// the run ends, when verify-on-read is on), replica copies rewritten by
+  /// read-repair, and scrub passes performed (functional: counted by the
+  /// ensembles; model: the final scrub, one pass per shard).
+  std::int64_t corruptions_detected = 0;
+  std::int64_t integrity_repairs = 0;
+  std::int64_t scrub_passes = 0;
+  /// Fingerprint of the integrity events executed (see
+  /// recovery::integrity_fingerprint).  0 when the run has no fault plan
+  /// or no integrity.
+  std::uint64_t integrity_fingerprint = 0;
+};
+
 /// Per-iteration timing breakdown averaged over workers and iterations.
 /// `comm` is the non-hidden communication time — everything in an iteration
 /// that is not the worker's own minibatch computation (transfer time,
 /// blocked-on-lock time, and synchronous waiting for peers), exactly how the
 /// paper measures "communication time ... not overlapped with the
 /// computation time" (§IV-E).
-struct PlatformTiming {
+struct PlatformTiming : RunOutcome {
   SimTime mean_comp = 0;
   SimTime mean_comm = 0;
   [[nodiscard]] SimTime mean_iteration() const { return mean_comp + mean_comm; }
@@ -30,44 +78,16 @@ struct PlatformTiming {
   std::int64_t completed_worker_iterations = 0;
   /// Workers removed mid-run by an injected fail-stop crash.
   int crashed_workers = 0;
-  /// Worker slots re-admitted mid-run by the recovery layer, ascending (a
-  /// worker can be both crashed and recovered: first life died, the slot
-  /// finished under a replacement).
-  std::vector<int> recovered_workers;
-  /// SMB primary failovers the model executed.
-  std::int64_t smb_failovers = 0;
-  /// Fingerprint of the recovery actions actually executed (see
-  /// recovery::schedule_fingerprint); comparable with TrainResult's.
-  std::uint64_t recovery_fingerprint = 0;
-  /// Elastic membership: workers that cold-joined / voluntarily drained
-  /// mid-run, ascending; shard-map rebalances executed; straggler
-  /// quarantine demotions.
-  std::vector<int> joined_workers;
-  std::vector<int> drained_workers;
-  std::int64_t rebalances = 0;
-  std::int64_t quarantine_events = 0;
   /// Simulated iterations observed running further behind the cohort
   /// maximum than the policy staleness bound (a heterogeneity health
   /// metric; see bench_ext_elastic).
   std::int64_t staleness_violations = 0;
-  /// Fingerprint of the membership transitions actually executed (see
-  /// elastic::membership_fingerprint); comparable with TrainResult's.
-  std::uint64_t membership_fingerprint = 0;
-  /// Data integrity: distinct corruption markers the model expects checksum
-  /// verification to catch, replica copies the read-repair vote rewrites,
-  /// and scrub passes the run performs; comparable with TrainResult's.
-  std::int64_t corruptions_detected = 0;
-  std::int64_t integrity_repairs = 0;
-  std::int64_t scrub_passes = 0;
   /// Mean injection-to-detection latency (next sharing block, or the final
   /// scrub for corruptions landing after the last exchange).
   SimTime detection_latency = 0;
   /// Total modelled repair cost charged into the makespan
   /// (IntegrityPolicy::sim_repair_seconds per rewritten copy).
   SimTime repair_time = 0;
-  /// Fingerprint of the integrity events actually executed (see
-  /// recovery::integrity_fingerprint); comparable with TrainResult's.
-  std::uint64_t integrity_fingerprint = 0;
 };
 
 }  // namespace shmcaffe::cluster

@@ -1,12 +1,19 @@
 // Portable SIMD micro-kernel cores for the float hot paths.
 //
-// One header, three compile-time tiers — AVX2 (8-wide), SSE2 (4-wide),
-// scalar — selected by what the translation unit was compiled for.  The
-// root CMakeLists turns the SHMCAFFE_SIMD option into `-mavx2` (when the
-// compiler supports it); -DSHMCAFFE_SIMD=OFF defines SHMCAFFE_FORCE_SCALAR
-// and every core collapses to the plain loop (the `simd` stage of
-// tools/check.sh builds this configuration and re-runs the
-// kernel-equivalence tests against it).
+// Two compile-time tiers — AVX2 (8-wide) and scalar — selected by what the
+// translation unit was compiled for.  The root CMakeLists turns the
+// SHMCAFFE_SIMD option into `-mavx2` (when the compiler supports it);
+// -DSHMCAFFE_SIMD=OFF defines SHMCAFFE_FORCE_SCALAR and every core is the
+// plain loop (the `simd` stage of tools/check.sh builds this configuration
+// and re-runs the kernel-equivalence tests against it).
+//
+// Only `axpy`, the conv GEMM inner loop, carries AVX2 intrinsics: it is the
+// one core where hand-written vectors measure faster end to end.  The
+// streaming cores (add/sub, the SEASGD exchange algebra) are plain loops:
+// in the Release trees (perfbench, the tools/check.sh `bench` stage) GCC
+// -O3 -mavx2 vectorises each with 32-byte vectors behind a runtime alias
+// check, and intrinsics measured no faster there.  GCC's -O2 (the default
+// RelWithDebInfo tree) leaves them scalar.
 //
 // Bitwise-identity contract (the reason these kernels are safe to adopt
 // under the determinism story of common/parallel.h):
@@ -19,10 +26,10 @@
 //     intrinsics, and the build never passes -mfma): a fused
 //     multiply-add skips the intermediate rounding and would make the
 //     AVX2 build diverge from the scalar one.  With the FMA ISA absent
-//     the compiler cannot contract the scalar fallbacks either, so
-//     SIMD and scalar builds, at any thread count, produce bit-identical
-//     floats (asserted by tests/simd_test.cc and the BENCH_kernels.json
-//     checksum fields).
+//     the compiler cannot contract the plain loops either, so SIMD and
+//     scalar builds, at any thread count, produce bit-identical floats
+//     (asserted by tests/simd_test.cc and the BENCH_kernels.json checksum
+//     fields).
 //   * Reductions (dot products, checksums over doubles) are NOT offered
 //     here on purpose: any widened reduction reorders the summation.
 //     Callers keep those loops scalar (see dl/layers.cc backward_gemm).
@@ -37,34 +44,17 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(SHMCAFFE_FORCE_SCALAR)
-// Scalar tier forced by the build (tools/check.sh simd stage).
-#elif defined(__AVX2__)
+#if !defined(SHMCAFFE_FORCE_SCALAR) && defined(__AVX2__)
 #define SHMCAFFE_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define SHMCAFFE_SIMD_SSE2 1
-#include <emmintrin.h>
 #endif
 
 namespace shmcaffe::common::simd {
-
-/// Lanes per vector on the tier this TU compiled against.
-inline constexpr std::size_t kWidth =
-#if defined(SHMCAFFE_SIMD_AVX2)
-    8;
-#elif defined(SHMCAFFE_SIMD_SSE2)
-    4;
-#else
-    1;
-#endif
 
 /// Tier name for bench/test labels.
 inline constexpr const char* dispatch_name() {
 #if defined(SHMCAFFE_SIMD_AVX2)
   return "avx2";
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  return "sse2";
 #else
   return "scalar";
 #endif
@@ -89,14 +79,6 @@ inline void axpy(std::size_t n, float a, const float* x, float* y) {
     _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), p));
   }
   for (; i < n; ++i) y[i] += a * x[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 p = _mm_mul_ps(av, _mm_loadu_ps(x + i));
-    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i), p));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
 #else
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 #endif
@@ -104,74 +86,19 @@ inline void axpy(std::size_t n, float a, const float* x, float* y) {
 
 /// dst[i] += src[i].  The SMB server-side accumulate core (eq. 7).
 inline void add_inplace(std::size_t n, float* dst, const float* src) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 a0 = _mm256_add_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i));
-    const __m256 a1 =
-        _mm256_add_ps(_mm256_loadu_ps(dst + i + 8), _mm256_loadu_ps(src + i + 8));
-    _mm256_storeu_ps(dst + i, a0);
-    _mm256_storeu_ps(dst + i + 8, a1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i,
-                     _mm256_add_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(dst + i, _mm_add_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-#else
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-#endif
 }
 
 /// dst[i] -= src[i].  Eq. (6) half of the exchange.
 inline void sub_inplace(std::size_t n, float* dst, const float* src) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i,
-                     _mm256_sub_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(dst + i, _mm_sub_ps(_mm_loadu_ps(dst + i), _mm_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-#else
   for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
-#endif
 }
 
 /// delta[i] = alpha * (local[i] - global[i]) — eq. (5), the SEASGD weight
 /// increment.  mul after sub, never fused.
 inline void weight_increment_core(std::size_t n, const float* local, const float* global,
                                   float alpha, float* delta) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  const __m256 av = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(local + i), _mm256_loadu_ps(global + i));
-    _mm256_storeu_ps(delta + i, _mm256_mul_ps(av, diff));
-  }
-  for (; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 diff = _mm_sub_ps(_mm_loadu_ps(local + i), _mm_loadu_ps(global + i));
-    _mm_storeu_ps(delta + i, _mm_mul_ps(av, diff));
-  }
-  for (; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#else
   for (std::size_t i = 0; i < n; ++i) delta[i] = alpha * (local[i] - global[i]);
-#endif
 }
 
 /// Fused eqs. (5)+(6): delta[i] = alpha*(local[i]-global[i]);
@@ -180,43 +107,11 @@ inline void weight_increment_core(std::size_t n, const float* local, const float
 /// form where `global` is a span directly into SMB segment storage.
 inline void elastic_exchange_core(std::size_t n, float* local, const float* global,
                                   float alpha, float* delta) {
-#if defined(SHMCAFFE_SIMD_AVX2)
-  const __m256 av = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 lv = _mm256_loadu_ps(local + i);
-    const __m256 diff = _mm256_sub_ps(lv, _mm256_loadu_ps(global + i));
-    const __m256 d = _mm256_mul_ps(av, diff);
-    _mm256_storeu_ps(delta + i, d);
-    _mm256_storeu_ps(local + i, _mm256_sub_ps(lv, d));
-  }
-  for (; i < n; ++i) {
-    const float d = alpha * (local[i] - global[i]);
-    delta[i] = d;
-    local[i] -= d;
-  }
-#elif defined(SHMCAFFE_SIMD_SSE2)
-  const __m128 av = _mm_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 lv = _mm_loadu_ps(local + i);
-    const __m128 diff = _mm_sub_ps(lv, _mm_loadu_ps(global + i));
-    const __m128 d = _mm_mul_ps(av, diff);
-    _mm_storeu_ps(delta + i, d);
-    _mm_storeu_ps(local + i, _mm_sub_ps(lv, d));
-  }
-  for (; i < n; ++i) {
-    const float d = alpha * (local[i] - global[i]);
-    delta[i] = d;
-    local[i] -= d;
-  }
-#else
   for (std::size_t i = 0; i < n; ++i) {
     const float d = alpha * (local[i] - global[i]);
     delta[i] = d;
     local[i] -= d;
   }
-#endif
 }
 
 /// FNV-1a over `bytes` of `data`, folding 8 bytes per multiply with a

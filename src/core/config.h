@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "cluster/platform_result.h"
 #include "data/synth_dataset.h"
 #include "dl/models.h"
 #include "dl/solver.h"
@@ -152,7 +154,9 @@ enum class WorkerOutcome : std::uint8_t {
   kNeverJoined = 5, ///< a reserved join slot whose worker never joined
 };
 
-struct TrainResult {
+/// Result of a functional training run.  The recovery, membership and
+/// integrity outcome it shares with the timed models is the RunOutcome base.
+struct TrainResult : cluster::RunOutcome {
   std::vector<EpochMetrics> curve;
   double final_accuracy = 0.0;
   double final_loss = 0.0;
@@ -163,44 +167,29 @@ struct TrainResult {
   std::vector<WorkerOutcome> worker_outcomes;
   /// Workers that did not finish (crashed or fenced), ascending.
   std::vector<int> dead_workers;
-  /// Workers whose slot was re-admitted mid-run (respawned replacement or
-  /// recovered fenced worker), ascending.  A worker can appear in both
-  /// lists: its first life died, its slot finished under a new incarnation.
-  std::vector<int> recovered_workers;
-  /// SMB primary failovers executed across all shard ensembles.
-  std::int64_t smb_failovers = 0;
   /// Checkpoints written during the run, and the iteration sum restored
   /// from a checkpoint at start (0 for a fresh run).
   std::int64_t checkpoints_taken = 0;
   std::int64_t resumed_iterations = 0;
-  /// Fingerprint of the recovery actions actually executed (see
-  /// recovery::schedule_fingerprint); comparable across the functional and
-  /// simulated stacks.
-  std::uint64_t recovery_fingerprint = 0;
-  /// Elastic membership: workers that cold-joined / voluntarily drained
-  /// mid-run, ascending; shard-map rebalances executed; straggler
-  /// quarantine demotions observed.
-  std::vector<int> joined_workers;
-  std::vector<int> drained_workers;
-  std::int64_t rebalances = 0;
-  std::int64_t quarantine_events = 0;
-  /// Fingerprint of the membership transitions actually executed (see
-  /// elastic::membership_fingerprint); comparable across the functional and
-  /// simulated stacks.  0 when the run is neither elastic nor
-  /// straggler-aware.
-  std::uint64_t membership_fingerprint = 0;
-  /// Data integrity: distinct corruption markers caught by checksum
-  /// verification, replica copies rewritten by read-repair, scrub passes
-  /// completed, and checkpoint rollbacks forced by unrepairable segments.
-  std::int64_t corruptions_detected = 0;
-  std::int64_t integrity_repairs = 0;
-  std::int64_t scrub_passes = 0;
+  /// Checkpoint rollbacks forced by unrepairable segments.
   std::int64_t integrity_rollbacks = 0;
-  /// Fingerprint of the integrity events actually executed (see
-  /// recovery::integrity_fingerprint); comparable across the functional and
-  /// simulated stacks.  0 when the run has no fault plan or no integrity.
-  std::uint64_t integrity_fingerprint = 0;
   double wall_seconds = 0.0;
 };
+
+/// Fills the membership part of `outcome` from the run's `service`: the
+/// joined, drained, rebalance and quarantine counts, and the fingerprint of
+/// the `planned` changes the service actually executed.  Both stacks call it
+/// with their own planned schedule, so equal fingerprints mean identical
+/// membership histories.
+inline void fill_membership_outcome(cluster::RunOutcome& outcome,
+                                    const elastic::MembershipService& service,
+                                    const std::vector<elastic::MembershipChange>& planned) {
+  outcome.joined_workers = service.joined();
+  outcome.drained_workers = service.drained();
+  outcome.rebalances = service.rebalances();
+  outcome.quarantine_events = service.quarantine_events();
+  outcome.membership_fingerprint =
+      elastic::membership_fingerprint(elastic::filter_executed(planned, service.execution()));
+}
 
 }  // namespace shmcaffe::core

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "coll/pcie_model.h"
+#include "core/config.h"
 #include "fault/injector.h"
 #include "net/fabric.h"
 #include "recovery/schedule.h"
@@ -688,16 +689,12 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
   // actually executed (a join whose trigger was never reached, or a
   // quarantine chain cut short by a crash, drops out on both stacks).
   if (membership_service.has_value()) {
-    result.joined_workers = membership_service->joined();
-    result.drained_workers = membership_service->drained();
-    result.rebalances = membership_service->rebalances();
-    result.quarantine_events = membership_service->quarantine_events();
+    fill_membership_outcome(
+        result, *membership_service,
+        elastic::membership_schedule(
+            options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
+            options.membership_policy, groups));
     result.staleness_violations = elastic_state.staleness_violations;
-    const std::vector<elastic::MembershipChange> planned = elastic::membership_schedule(
-        options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
-        options.membership_policy, groups);
-    result.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(planned, membership_service->execution()));
   }
   return result;
 }

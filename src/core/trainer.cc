@@ -1198,19 +1198,11 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
     }
   }
   if (membership.has_value()) {
-    result.joined_workers = membership->joined();
-    result.drained_workers = membership->drained();
-    result.rebalances = membership->rebalances();
-    result.quarantine_events = membership->quarantine_events();
-    // Fingerprint the membership transitions actually executed, in planned
-    // order, exactly like the recovery fingerprint below: the sim twin
-    // filters the same planned schedule by its own execution, so equal
-    // fingerprints mean identical membership histories across the stacks.
-    const std::vector<elastic::MembershipChange> planned = elastic::membership_schedule(
-        options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
-        options.membership_policy, options.workers);
-    result.membership_fingerprint = elastic::membership_fingerprint(
-        elastic::filter_executed(planned, membership->execution()));
+    fill_membership_outcome(
+        result, *membership,
+        elastic::membership_schedule(
+            options.membership, options.faults != nullptr ? &options.faults->plan() : nullptr,
+            options.membership_policy, options.workers));
   }
   result.checkpoints_taken = shared.checkpoints_taken.load(std::memory_order_relaxed);
   result.resumed_iterations = resumed_total;

@@ -1,6 +1,6 @@
 // Tests for the data pipeline: dataset determinism and learnability
 // structure, shard partitioning (no duplication, full coverage), epoch
-// shuffling, prefetcher liveness, and the record store / sample codec.
+// shuffling and prefetcher liveness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "data/loader.h"
-#include "data/record_store.h"
 #include "data/synth_dataset.h"
 
 namespace shmcaffe::data {
@@ -221,71 +220,6 @@ TEST(Prefetcher, StopsCleanlyWhileFull) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it fill
   }  // destructor must not hang
   SUCCEED();
-}
-
-// --- RecordStore ---
-
-TEST(RecordStore, PutGetAndDuplicateRejection) {
-  RecordStore store;
-  EXPECT_TRUE(store.put("a", {std::byte{1}, std::byte{2}}));
-  EXPECT_FALSE(store.put("a", {std::byte{9}}));
-  const auto got = store.get("a");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 2u);
-  EXPECT_FALSE(store.get("missing").has_value());
-  EXPECT_EQ(store.count(), 1u);
-  EXPECT_EQ(store.total_bytes(), 2);
-}
-
-TEST(RecordStore, KeysSorted) {
-  RecordStore store;
-  store.put("b", {});
-  store.put("a", {});
-  store.put("c", {});
-  EXPECT_EQ(store.keys(), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SampleCodec, RoundTrips) {
-  const std::vector<float> image{0.5F, -1.0F, 3.25F};
-  const std::vector<std::byte> record = encode_sample(image, 7);
-  std::vector<float> decoded;
-  int label = -1;
-  ASSERT_TRUE(decode_sample(record, decoded, label));
-  EXPECT_EQ(decoded, image);
-  EXPECT_EQ(label, 7);
-}
-
-TEST(SampleCodec, RejectsCorruptRecords) {
-  const std::vector<float> image{1.0F};
-  std::vector<std::byte> record = encode_sample(image, 0);
-  std::vector<float> decoded;
-  int label = 0;
-  EXPECT_FALSE(decode_sample(std::span(record).subspan(0, 3), decoded, label));
-  record[0] = std::byte{0xFF};  // break magic
-  EXPECT_FALSE(decode_sample(record, decoded, label));
-  std::vector<std::byte> truncated = encode_sample(image, 0);
-  truncated.pop_back();
-  EXPECT_FALSE(decode_sample(truncated, decoded, label));
-}
-
-TEST(RecordStore, WriteDatasetFreezesEverySample) {
-  SynthDatasetOptions options = small_options();
-  options.size = 64;
-  const SynthImageDataset dataset(options);
-  RecordStore store;
-  EXPECT_EQ(write_dataset(dataset, store), 64u);
-  EXPECT_EQ(store.count(), 64u);
-
-  // Spot-check a record decodes to the generated sample.
-  std::vector<float> expected(dataset.image_elements());
-  dataset.materialize(10, expected);
-  const auto record = store.get(record_key(10));
-  ASSERT_TRUE(record.has_value());
-  std::vector<float> decoded;
-  int label = -1;
-  ASSERT_TRUE(decode_sample(*record, decoded, label));
-  EXPECT_EQ(decoded, expected);
-  EXPECT_EQ(label, dataset.label(10));
 }
 
 }  // namespace
