@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/run_event.h"
 #include "common/units.h"
 #include "core/sim_shmcaffe.h"
 #include "elastic/membership.h"
@@ -69,8 +70,9 @@ void emit(const char* name, const cluster::PlatformTiming& timing, bool last) {
   std::printf("     \"quarantine_events\": %lld, \"staleness_violations\": %lld,\n",
               static_cast<long long>(timing.quarantine_events),
               static_cast<long long>(timing.staleness_violations));
+  const auto& executed = timing.membership_events;
   std::printf("     \"membership_fingerprint\": %llu}%s\n",
-              static_cast<unsigned long long>(timing.membership_fingerprint),
+              static_cast<unsigned long long>(executed ? common::fingerprint(*executed) : 0),
               last ? "" : ",");
 }
 

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/run_event.h"
 #include "common/units.h"
 #include "core/sim_shmcaffe.h"
 #include "fault/fault_plan.h"
@@ -107,8 +108,9 @@ void emit(const char* name, const cluster::PlatformTiming& timing, bool last) {
   std::printf("     \"detection_latency_seconds\": %.9f, "
               "\"repair_time_seconds\": %.9f,\n",
               to_seconds(timing.detection_latency), to_seconds(timing.repair_time));
+  const auto& executed = timing.integrity_events;
   std::printf("     \"integrity_fingerprint\": %llu}%s\n",
-              static_cast<unsigned long long>(timing.integrity_fingerprint),
+              static_cast<unsigned long long>(executed ? common::fingerprint(*executed) : 0),
               last ? "" : ",");
 }
 

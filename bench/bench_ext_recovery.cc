@@ -23,6 +23,7 @@
 #include <system_error>
 #include <vector>
 
+#include "common/run_event.h"
 #include "common/units.h"
 #include "core/config.h"
 #include "core/sim_shmcaffe.h"
@@ -116,8 +117,9 @@ int main() {
               recovered.recovered_workers.size());
   std::printf("    \"completed_worker_iterations\": %lld,\n",
               static_cast<long long>(recovered.completed_worker_iterations));
+  const auto& executed = recovered.recovery_events;
   std::printf("    \"recovery_fingerprint\": %llu,\n",
-              static_cast<unsigned long long>(recovered.recovery_fingerprint));
+              static_cast<unsigned long long>(executed ? common::fingerprint(*executed) : 0));
 
   // Sweep the modelled failure-detection latency: recovery cost scales with
   // how long the ensemble takes to notice the dead primary.

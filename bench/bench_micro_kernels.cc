@@ -319,57 +319,6 @@ void bench_smb_accumulate(int threads) {
        "gelems", 3.0 * kSpanBytes, checksum(out.data(), out.size()));
 }
 
-// The library's exchange core against an inline loop over the same span,
-// both single-threaded.  simd::elastic_exchange_core is itself a plain loop,
-// so in a Release -mavx2 build the compiler vectorises both rows alike and
-// their ratio sits near 1: it no longer measures an intrinsics win (the
-// seasgd_exchange rows above measure the core end to end through the work
-// pool).  The row names predate that and stay for BENCH_kernels.json.
-void bench_exchange_core() {
-  common::Rng rng(17);
-  std::vector<float> local(kSpan);
-  std::vector<float> global(kSpan);
-  std::vector<float> delta(kSpan);
-  for (float& v : local) v = static_cast<float>(rng.uniform(-1, 1));
-  for (float& v : global) v = static_cast<float>(rng.uniform(-1, 1));
-  const std::vector<float> local0 = local;
-  constexpr float kAlpha = 0.25F;
-
-  common::simd::elastic_exchange_core(kSpan, local.data(), global.data(), kAlpha,
-                                      delta.data());
-  const double simd_best = best_of(kSpanReps, [&] {
-    std::copy(local0.begin(), local0.end(), local.begin());
-    common::simd::elastic_exchange_core(kSpan, local.data(), global.data(), kAlpha,
-                                        delta.data());
-  });
-  emit("exchange_core_simd", 1, simd_best, kSpanReps,
-       static_cast<double>(kSpan), "gelems", 4.0 * kSpanBytes,
-       checksum(delta.data(), delta.size()));
-
-  std::vector<float> delta_ref(kSpan);
-  std::copy(local0.begin(), local0.end(), local.begin());
-  const double scalar_best = best_of(kSpanReps, [&] {
-    std::copy(local0.begin(), local0.end(), local.begin());
-    for (std::size_t j = 0; j < kSpan; ++j) {
-      delta_ref[j] = kAlpha * (local[j] - global[j]);
-      local[j] -= delta_ref[j];
-    }
-  });
-  emit("exchange_core_scalar", 1, scalar_best, kSpanReps,
-       static_cast<double>(kSpan), "gelems", 4.0 * kSpanBytes,
-       checksum(delta_ref.data(), delta_ref.size()));
-
-  // The library core's bitwise-identity contract against the inline loop,
-  // enforced where the numbers are produced (like the t1/t4 checksums).
-  for (std::size_t j = 0; j < kSpan; ++j) {
-    if (delta[j] != delta_ref[j]) {
-      std::fprintf(stderr, "exchange core mismatch at %zu: simd=%.9g scalar=%.9g\n", j,
-                   static_cast<double>(delta[j]), static_cast<double>(delta_ref[j]));
-      std::exit(1);
-    }
-  }
-}
-
 // Copy read against the epoch-pinned zero-copy read of the same 4M-float
 // segment.  The copy row streams the segment into a staging vector; the
 // pinned row only pins/unpins the storage epoch — no bytes move, which is
@@ -419,7 +368,6 @@ int main() {
     bench_smb_accumulate(threads);
   }
   bench_conv_scalar_reference();
-  bench_exchange_core();
   bench_smb_read();
   common::parallel::shutdown();
 
@@ -444,7 +392,6 @@ int main() {
   const std::pair<const char*, const char*> pairs[] = {
       {"conv_fwd", "conv_fwd_scalar_ref"},
       {"conv_bwd", "conv_bwd_scalar_ref"},
-      {"exchange_core_simd", "exchange_core_scalar"},
       {"smb_read_pinned", "smb_read_copy"},
   };
   double log_sum = 0.0;

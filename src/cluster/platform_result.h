@@ -3,19 +3,41 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/run_event.h"
 #include "common/units.h"
 
+// The three control families' action enums, declared opaquely so the run
+// outcome can hold their event lists without including the family headers
+// (cluster sits below recovery and elastic in the include layering).  The
+// definitions live in recovery/schedule.h, recovery/integrity.h and
+// elastic/membership.h; a mismatched underlying type fails to compile in
+// any translation unit that sees both declarations.
+namespace shmcaffe::recovery {
+enum class RecoveryAction : std::uint8_t;
+enum class IntegrityAction : std::uint8_t;
+}  // namespace shmcaffe::recovery
+namespace shmcaffe::elastic {
+enum class MembershipAction : std::uint8_t;
+}  // namespace shmcaffe::elastic
+
 namespace shmcaffe::cluster {
+
+/// One family's executed events, in planned order; std::nullopt when the
+/// run did not track the family.  A bench prints common::fingerprint of the
+/// list (0 for an untracked family).
+template <typename Action>
+using ExecutedEvents = std::optional<std::vector<common::RunEvent<Action>>>;
 
 /// What a run did about recovery, elastic membership and data integrity —
 /// the fields the functional trainer (core::TrainResult) and the timed
 /// models (PlatformTiming) report alike, so one plan can be checked across
 /// the two stacks.  The functional stack *observes* each value from its
 /// services, servers and threads; the simulator *models* it from the plan,
-/// the policy and its own modelled timing.  The fingerprints are the
-/// contract: equal values mean both stacks executed the same schedule.
+/// the policy and its own modelled timing.  The executed event lists are
+/// the contract: equal lists mean both stacks executed the same schedule.
 struct RunOutcome {
   /// Worker slots re-admitted mid-run, ascending.  Functional: slots whose
   /// fenced or crashed worker was respawned or recovered.  Model: the
@@ -25,9 +47,9 @@ struct RunOutcome {
   /// SMB primary failovers executed across all shard ensembles (observed
   /// from each ensemble's failover log; modelled per failed active replica).
   std::int64_t smb_failovers = 0;
-  /// Fingerprint of the recovery actions executed, in planned order (see
-  /// recovery::schedule_fingerprint).  0 without a fault plan.
-  std::uint64_t recovery_fingerprint = 0;
+  /// The recovery actions executed (recovery::executed_recovery); tracked
+  /// when the run has a fault plan.
+  ExecutedEvents<recovery::RecoveryAction> recovery_events;
   /// Elastic membership, read from the run's elastic::MembershipService on
   /// both stacks (core::fill_membership_outcome): workers that cold-joined
   /// and that voluntarily drained mid-run, ascending; shard-map rebalances
@@ -36,24 +58,23 @@ struct RunOutcome {
   std::vector<int> drained_workers;
   std::int64_t rebalances = 0;
   std::int64_t quarantine_events = 0;
-  /// Fingerprint of the membership transitions executed: the planned
-  /// schedule filtered by the service's execution (see
-  /// elastic::membership_fingerprint).  0 when the run is neither elastic
-  /// nor straggler-aware.
-  std::uint64_t membership_fingerprint = 0;
-  /// Data integrity.  Distinct corruption markers caught by checksum
-  /// verification (functional: collected from the SMB servers; model: each
-  /// planned corruption or torn write that lands on a live replica before
-  /// the run ends, when verify-on-read is on), replica copies rewritten by
-  /// read-repair, and scrub passes performed (functional: counted by the
-  /// ensembles; model: the final scrub, one pass per shard).
+  /// The membership transitions executed: the planned schedule filtered by
+  /// the service's ledger.  Tracked when the run is elastic or
+  /// straggler-aware.
+  ExecutedEvents<elastic::MembershipAction> membership_events;
+  /// Data integrity.  Corruption markers caught by checksum verification,
+  /// once per server that caught each (functional: collected from the SMB
+  /// servers; model: each planned corruption or torn write that lands on a
+  /// live replica before the run ends, when verify-on-read is on), replica
+  /// copies rewritten by read-repair, and scrub passes performed
+  /// (functional: counted by the ensembles; model: the final scrub, one
+  /// pass per shard).
   std::int64_t corruptions_detected = 0;
   std::int64_t integrity_repairs = 0;
   std::int64_t scrub_passes = 0;
-  /// Fingerprint of the integrity events executed (see
-  /// recovery::integrity_fingerprint).  0 when the run has no fault plan
-  /// or no integrity.
-  std::uint64_t integrity_fingerprint = 0;
+  /// The integrity events executed: recovery::integrity_schedule filtered
+  /// by the run's integrity ledger.  Tracked when the run has a fault plan.
+  ExecutedEvents<recovery::IntegrityAction> integrity_events;
 };
 
 /// Per-iteration timing breakdown averaged over workers and iterations.

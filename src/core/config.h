@@ -177,10 +177,10 @@ struct TrainResult : cluster::RunOutcome {
 };
 
 /// Fills the membership part of `outcome` from the run's `service`: the
-/// joined, drained, rebalance and quarantine counts, and the fingerprint of
-/// the `planned` changes the service actually executed.  Both stacks call it
-/// with their own planned schedule, so equal fingerprints mean identical
-/// membership histories.
+/// joined, drained, rebalance and quarantine counts, and the `planned`
+/// changes the service's ledger shows executed.  Both stacks call it with
+/// their own planned schedule, so equal lists mean identical membership
+/// histories.
 inline void fill_membership_outcome(cluster::RunOutcome& outcome,
                                     const elastic::MembershipService& service,
                                     const std::vector<elastic::MembershipChange>& planned) {
@@ -188,8 +188,8 @@ inline void fill_membership_outcome(cluster::RunOutcome& outcome,
   outcome.drained_workers = service.drained();
   outcome.rebalances = service.rebalances();
   outcome.quarantine_events = service.quarantine_events();
-  outcome.membership_fingerprint =
-      elastic::membership_fingerprint(elastic::filter_executed(planned, service.execution()));
+  outcome.membership_events = common::executed_events(
+      planned, service.ledger(), elastic::MembershipAction::kShardRebalance);
 }
 
 }  // namespace shmcaffe::core

@@ -567,40 +567,19 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     result.smb_failovers += static_cast<std::int64_t>(log.size());
   }
 
-  // Fingerprint the executed recovery actions, in planned order — the same
-  // assembly the functional trainer performs, so equal fingerprints mean
-  // both stacks took the identical recovery schedule from this plan.
+  // The executed recovery actions, in planned order — the same filter the
+  // functional trainer applies, so equal lists mean both stacks took the
+  // identical recovery schedule from this plan.
   if (options.faults != nullptr) {
-    std::vector<std::vector<int>> remaining = failed_active;
-    std::vector<recovery::RecoveryEvent> executed;
-    for (const recovery::RecoveryEvent& event :
-         recovery::recovery_schedule(options.faults->plan(), options.recovery)) {
-      if (event.action == recovery::RecoveryAction::kSmbFailover) {
-        const int shard = event.target / options.smb_replicas;
-        const int replica = event.target % options.smb_replicas;
-        if (shard < 0 || static_cast<std::size_t>(shard) >= remaining.size()) continue;
-        auto& log = remaining[static_cast<std::size_t>(shard)];
-        const auto it = std::find(log.begin(), log.end(), replica);
-        if (it != log.end()) {
-          executed.push_back(event);
-          log.erase(it);
-        }
-      } else if (event.action == recovery::RecoveryAction::kWorkerReadmit) {
-        const int group = event.target / options.group_size;
-        if (group >= 0 && group < groups && event.target % options.group_size == 0 &&
-            stats[static_cast<std::size_t>(group)].recovered) {
-          executed.push_back(event);
-        }
-      }
-    }
-    result.recovery_fingerprint = recovery::schedule_fingerprint(executed);
+    result.recovery_events =
+        recovery::executed_recovery(options.faults->plan(), options.recovery, failed_active,
+                                    options.smb_replicas, result.recovered_workers);
   }
 
-  // Integrity model: derive the executed outcome from the plan, the policy,
-  // and the run's own timing, then fingerprint it exactly the way the
-  // functional trainer does (the planned schedule filtered by the observed
-  // marker sets), so equal fingerprints mean both stacks agreed on which
-  // corruptions fired, were detected, and were repaired.
+  // Integrity model: derive the executed ledger from the plan, the policy,
+  // and the run's own timing, then filter the planned schedule by it exactly
+  // the way the functional trainer does, so equal lists mean both stacks
+  // agreed on which corruptions fired, were detected, and were repaired.
   if (options.faults != nullptr) {
     const int replicas = options.smb_replicas;
     const int physical = nservers * replicas;
@@ -619,7 +598,7 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     // shard write plus one delta write per sharing exchange per group
     // (ReplicatedSmb fans every write to every replica of the shard).  The
     // torn-write ordinal estimate is deliberately coarse — cross-stack
-    // fingerprint tests use corruption-only plans (see recovery/integrity.h).
+    // integrity tests use corruption-only plans.
     std::int64_t writes_est = 1;
     if (capacity > 1) {
       for (const GroupStats& s : stats) {
@@ -635,35 +614,41 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     // for corruptions landing after the last exchange.
     const SimTime sharing_interval =
         result.mean_iteration() * std::max(1, options.update_interval);
-    recovery::IntegrityOutcome outcome;
+    using recovery::IntegrityAction;
+    common::EventLedger<IntegrityAction> ledger;
     SimTime latency_sum = 0;
-    std::int64_t detections = 0;
+    // One detection (and, when repairable, one repair) of `marker`, caught
+    // `latency` after it landed.
+    const auto detect = [&](std::int64_t marker, SimTime latency) {
+      if (!detectable) return;
+      ledger.record_key(IntegrityAction::kCorruptionDetected, marker);
+      latency_sum += latency;
+      if (repairable) ledger.record_key(IntegrityAction::kCorruptionRepaired, marker);
+    };
     for (int n = 0; n < physical; ++n) {
       for (const fault::FaultEvent& ev : options.faults->segment_corruptions(n)) {
         const SimTime at = units::from_seconds(ev.start_seconds);
         if (at > result.makespan) continue;                         // run already over
         if (at >= dead_at[static_cast<std::size_t>(n)]) continue;   // replica dead
-        outcome.injected.push_back(ev.sequence);
-        if (!detectable) continue;
-        outcome.detected.push_back(ev.sequence);
-        latency_sum += std::min(sharing_interval, result.makespan - at);
-        detections += 1;
-        if (repairable) outcome.repaired.push_back(ev.sequence);
+        const auto marker = static_cast<std::int64_t>(ev.sequence);
+        ledger.record_key(IntegrityAction::kCorruptionInjected, marker);
+        detect(marker, std::min(sharing_interval, result.makespan - at));
       }
       for (const fault::FaultEvent& ev : options.faults->torn_writes(n)) {
         if (ev.sequence < 1 || static_cast<std::int64_t>(ev.sequence) > writes_est) continue;
-        const std::uint64_t marker = smb::SmbServer::kTornWriteMarkerBit | ev.sequence;
-        outcome.torn_applied.push_back(marker);
-        if (!detectable) continue;
-        outcome.detected.push_back(marker);
-        latency_sum += sharing_interval;
-        detections += 1;
-        if (repairable) outcome.repaired.push_back(marker);
+        const auto marker =
+            static_cast<std::int64_t>(smb::SmbServer::kTornWriteMarkerBit | ev.sequence);
+        ledger.record_key(IntegrityAction::kTornWriteApplied, marker);
+        detect(marker, sharing_interval);
       }
     }
-    result.corruptions_detected = static_cast<std::int64_t>(outcome.detected.size());
-    result.integrity_repairs = static_cast<std::int64_t>(outcome.repaired.size());
-    if (detections > 0) result.detection_latency = latency_sum / detections;
+    result.corruptions_detected =
+        static_cast<std::int64_t>(ledger.count(IntegrityAction::kCorruptionDetected));
+    result.integrity_repairs =
+        static_cast<std::int64_t>(ledger.count(IntegrityAction::kCorruptionRepaired));
+    if (result.corruptions_detected > 0) {
+      result.detection_latency = latency_sum / result.corruptions_detected;
+    }
     // Each rewritten copy stalls the detecting reader for the modelled
     // repair cost; the charge lands on the critical path (comm side).
     result.repair_time = static_cast<SimTime>(result.integrity_repairs) *
@@ -671,10 +656,8 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     result.makespan += result.repair_time;
     const std::int64_t denom_iters = std::max<std::int64_t>(1, completed_member_iters);
     result.mean_comm += result.repair_time / denom_iters;
-    const std::vector<recovery::IntegrityEvent> planned_integrity =
-        recovery::integrity_schedule(options.faults->plan(), options.integrity);
-    result.integrity_fingerprint = recovery::integrity_fingerprint(
-        recovery::executed_integrity(planned_integrity, outcome));
+    result.integrity_events = common::executed_events(
+        recovery::integrity_schedule(options.faults->plan(), options.integrity), ledger);
   }
   // The final scrub the functional trainer runs after training (one pass per
   // shard ensemble) — the walk exists only when there is a replica to vote
@@ -684,8 +667,8 @@ cluster::PlatformTiming simulate_shmcaffe(const SimShmCaffeOptions& options) {
     result.scrub_passes = nservers;
   }
 
-  // Fingerprint the executed membership transitions the same way the
-  // functional trainer does: the planned schedule filtered by what this run
+  // The executed membership transitions, filtered the same way the
+  // functional trainer does: the planned schedule kept by what this run
   // actually executed (a join whose trigger was never reached, or a
   // quarantine chain cut short by a crash, drops out on both stacks).
   if (membership_service.has_value()) {

@@ -559,6 +559,11 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
       timer.charge(stats.train_seconds);
 
       if (group_size > 1) {
+        // A member posts this iteration's progress before entering the
+        // allreduce, which its root leaves only once every member has
+        // entered it: the root's termination vote below then reads every
+        // member at this iteration, so the group ends exactly at its target.
+        if (!is_root) board->report(worker, iteration + 1, incarnation);
         // Hybrid: intra-group synchronous SGD (ncclAllReduce of gradients).
         dl::copy_grads_to(net, grads);
         comm.all_reduce_mean(grads);
@@ -597,8 +602,9 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
       }
 
       // §III-E: aligned termination via the shared progress board.  The group
-      // root takes the decision; synchronous members follow it so the group
-      // never diverges.
+      // root takes the decision (its members posted their progress before
+      // the allreduce); synchronous members follow it so the group never
+      // diverges.
       elastic_sweep();
       if (is_root) {
         auto ask = [&] {
@@ -621,8 +627,6 @@ void run_worker(WorkerShared& shared, int worker, WorkerLife life = WorkerLife::
           std::this_thread::sleep_for(std::chrono::microseconds(50));
           vote[0] = ask();
         }
-      } else {
-        board->report(worker, iteration, incarnation);
       }
       if (group_size > 1) comm.broadcast(0, vote);
       stop = vote[0] != 0.0F;
@@ -863,9 +867,10 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   std::condition_variable fault_cv;
   bool fault_stop = false;
   std::thread fault_thread;
-  // Corruption markers that actually fired (chunks poisoned); written only
-  // by the fault thread, read after it is joined.
-  std::vector<std::uint64_t> injected_markers;
+  // The run's integrity ledger.  The fault thread records each corruption
+  // that fires (chunks poisoned); the servers' and ensembles' markers join
+  // it after the fault thread is joined.
+  common::EventLedger<recovery::IntegrityAction> integrity_ledger;
   if (options.faults != nullptr) {
     std::vector<fault::FaultEvent> server_events;
     for (int n = 0; n < physical_count; ++n) {
@@ -892,7 +897,7 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
               });
     if (!server_events.empty()) {
       fault_thread = std::thread([&servers, &fault_mutex, &fault_cv, &fault_stop,
-                                  &injected_markers,
+                                  &integrity_ledger,
                                   &global_initialised = shared.global_initialised,
                                   &unresolved = shared.corruptions_unresolved,
                                   base_key = shared.base_key,
@@ -923,7 +928,8 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
                 if (target.corrupt_floats(base_key, event.sequence,
                                           std::max(1, static_cast<int>(event.severity))) >
                     0) {
-                  injected_markers.push_back(event.sequence);
+                  integrity_ledger.record_key(recovery::IntegrityAction::kCorruptionInjected,
+                                              static_cast<std::int64_t>(event.sequence));
                 }
               } catch (const smb::SmbUnavailable&) {
                 // the server fail-stopped first: never fires
@@ -1206,85 +1212,50 @@ TrainResult train_shmcaffe(const DistTrainOptions& options) {
   }
   result.checkpoints_taken = shared.checkpoints_taken.load(std::memory_order_relaxed);
   result.resumed_iterations = resumed_total;
+  std::vector<std::vector<int>> failover_logs;
   for (const auto& ensemble : ensembles) {
     result.smb_failovers += static_cast<std::int64_t>(ensemble->failover_count());
+    failover_logs.push_back(ensemble->failover_log());
   }
 
-  // Integrity observability: distinct detected / torn-applied markers across
-  // the physical servers, repair and scrub counts from the ensembles,
-  // rollbacks from the workers.
-  std::vector<std::uint64_t> detected;
-  std::vector<std::uint64_t> torn_applied;
+  // Integrity observability: the markers each physical server detected and
+  // tore, the markers each ensemble repaired, repair and scrub counts from
+  // the ensembles, rollbacks from the workers.
+  using recovery::IntegrityAction;
   for (const auto& server : servers) {
     for (const std::uint64_t marker : server->detected_markers()) {
-      if (std::find(detected.begin(), detected.end(), marker) == detected.end()) {
-        detected.push_back(marker);
-      }
+      integrity_ledger.record_key(IntegrityAction::kCorruptionDetected,
+                                  static_cast<std::int64_t>(marker));
     }
     for (const std::uint64_t marker : server->torn_applied_markers()) {
-      if (std::find(torn_applied.begin(), torn_applied.end(), marker) == torn_applied.end()) {
-        torn_applied.push_back(marker);
-      }
+      integrity_ledger.record_key(IntegrityAction::kTornWriteApplied,
+                                  static_cast<std::int64_t>(marker));
     }
   }
-  std::vector<std::uint64_t> repaired;
   for (const auto& ensemble : ensembles) {
     result.integrity_repairs += static_cast<std::int64_t>(ensemble->repairs());
     result.scrub_passes += static_cast<std::int64_t>(ensemble->scrub_passes());
     for (const std::uint64_t marker : ensemble->repaired_markers()) {
-      if (std::find(repaired.begin(), repaired.end(), marker) == repaired.end()) {
-        repaired.push_back(marker);
-      }
+      integrity_ledger.record_key(IntegrityAction::kCorruptionRepaired,
+                                  static_cast<std::int64_t>(marker));
     }
   }
-  result.corruptions_detected = static_cast<std::int64_t>(detected.size());
+  result.corruptions_detected =
+      static_cast<std::int64_t>(integrity_ledger.count(IntegrityAction::kCorruptionDetected));
   result.integrity_rollbacks = shared.integrity_rollbacks.load(std::memory_order_relaxed);
 
-  // Fingerprint the recovery actions actually executed, in planned order:
+  // The recovery and integrity actions actually executed, in planned order:
   // a failover counts only if the fail-stopped replica really was the
   // active one at the time, a readmit only if the replacement ran.  The sim
-  // twin computes the same thing from the same plan, so equal fingerprints
-  // mean identical recovery schedules across the stacks.
+  // twin filters the same schedules by its own observations, so equal lists
+  // mean identical recovery and integrity histories across the stacks.
   if (options.faults != nullptr) {
-    std::vector<std::vector<int>> failed_active(ensembles.size());
-    for (std::size_t s = 0; s < ensembles.size(); ++s) {
-      failed_active[s] = ensembles[s]->failover_log();
-    }
-    std::vector<recovery::RecoveryEvent> executed;
-    for (const recovery::RecoveryEvent& event :
-         recovery::recovery_schedule(options.faults->plan(), options.recovery)) {
-      if (event.action == recovery::RecoveryAction::kSmbFailover) {
-        const int shard = event.target / options.smb_replicas;
-        const int replica = event.target % options.smb_replicas;
-        if (shard < 0 || static_cast<std::size_t>(shard) >= failed_active.size()) continue;
-        auto& log = failed_active[static_cast<std::size_t>(shard)];
-        const auto it = std::find(log.begin(), log.end(), replica);
-        if (it != log.end()) {
-          executed.push_back(event);
-          log.erase(it);
-        }
-      } else if (event.action == recovery::RecoveryAction::kWorkerReadmit) {
-        if (event.target >= 0 && event.target < options.workers &&
-            recovered[static_cast<std::size_t>(event.target)]) {
-          executed.push_back(event);
-        }
-      }
-    }
-    result.recovery_fingerprint = recovery::schedule_fingerprint(executed);
-
-    // Fingerprint the integrity events actually executed the same way: the
-    // planned schedule (plan order) filtered by the marker sets this run
-    // observed.  The sim twin filters the identical schedule by its own
-    // outcome, so equal fingerprints mean identical integrity histories.
-    recovery::IntegrityOutcome integrity_outcome;
-    integrity_outcome.injected = injected_markers;
-    integrity_outcome.detected = detected;
-    integrity_outcome.repaired = repaired;
-    integrity_outcome.torn_applied = torn_applied;
-    const std::vector<recovery::IntegrityEvent> planned_integrity =
-        recovery::integrity_schedule(options.faults->plan(), options.integrity);
-    result.integrity_fingerprint = recovery::integrity_fingerprint(
-        recovery::executed_integrity(planned_integrity, integrity_outcome));
+    result.recovery_events =
+        recovery::executed_recovery(options.faults->plan(), options.recovery, failover_logs,
+                                    options.smb_replicas, result.recovered_workers);
+    result.integrity_events = common::executed_events(
+        recovery::integrity_schedule(options.faults->plan(), options.integrity),
+        integrity_ledger);
   }
   return result;
 }

@@ -1,7 +1,7 @@
 #include "elastic/membership.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 
@@ -138,11 +138,11 @@ std::vector<MembershipChange> membership_schedule(const MembershipPlan* plan,
     }
   }
 
-  // (at_iteration, action, target): the enum is declared in tie-break order
-  // (a quarantine precedes its same-iteration readmit).
+  // (key, action, target): the enum is declared in tie-break order (a
+  // quarantine precedes its same-iteration readmit).
   std::sort(transitions.begin(), transitions.end(),
             [](const MembershipChange& a, const MembershipChange& b) {
-              if (a.at_iteration != b.at_iteration) return a.at_iteration < b.at_iteration;
+              if (a.key != b.key) return a.key < b.key;
               if (a.action != b.action) return a.action < b.action;
               return a.target < b.target;
             });
@@ -155,84 +155,10 @@ std::vector<MembershipChange> membership_schedule(const MembershipPlan* plan,
         change.action == MembershipAction::kWorkerDrain ||
         change.action == MembershipAction::kEvict) {
       schedule.push_back(
-          {MembershipAction::kShardRebalance, change.target, change.at_iteration});
+          {MembershipAction::kShardRebalance, change.target, change.key});
     }
   }
   return schedule;
-}
-
-std::uint64_t membership_fingerprint(std::span<const MembershipChange> changes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  for (const MembershipChange& change : changes) {
-    mix(static_cast<std::uint64_t>(change.action));
-    mix(static_cast<std::uint64_t>(change.target));
-    mix(static_cast<std::uint64_t>(change.at_iteration));
-  }
-  return hash;
-}
-
-std::string describe(std::span<const MembershipChange> changes) {
-  std::string out;
-  char line[128];
-  for (const MembershipChange& change : changes) {
-    std::snprintf(line, sizeof(line), "%s target=%d iter=%lld\n",
-                  to_string(change.action), change.target,
-                  static_cast<long long>(change.at_iteration));
-    out += line;
-  }
-  return out;
-}
-
-void MembershipExecution::record(MembershipAction action, int target) {
-  switch (action) {
-    case MembershipAction::kWorkerJoin: ++joins[target]; break;
-    case MembershipAction::kWorkerDrain: ++drains[target]; break;
-    case MembershipAction::kQuarantine: ++quarantines[target]; break;
-    case MembershipAction::kReadmitContributor: ++readmits[target]; break;
-    case MembershipAction::kEvict: ++evicts[target]; break;
-    case MembershipAction::kShardRebalance: break;  // derived from its trigger
-  }
-}
-
-int MembershipExecution::count(MembershipAction action, int target) const {
-  const std::map<int, int>* counts = nullptr;
-  switch (action) {
-    case MembershipAction::kWorkerJoin: counts = &joins; break;
-    case MembershipAction::kWorkerDrain: counts = &drains; break;
-    case MembershipAction::kQuarantine: counts = &quarantines; break;
-    case MembershipAction::kReadmitContributor: counts = &readmits; break;
-    case MembershipAction::kEvict: counts = &evicts; break;
-    case MembershipAction::kShardRebalance: return 0;
-  }
-  const auto it = counts->find(target);
-  return it == counts->end() ? 0 : it->second;
-}
-
-std::vector<MembershipChange> filter_executed(std::span<const MembershipChange> planned,
-                                              const MembershipExecution& executed) {
-  MembershipExecution consumed;
-  std::vector<MembershipChange> kept;
-  bool last_transition_kept = false;
-  for (const MembershipChange& change : planned) {
-    if (change.action == MembershipAction::kShardRebalance) {
-      // A rebalance executed exactly when the membership change it trails
-      // in the planned list did.
-      if (last_transition_kept) kept.push_back(change);
-      continue;
-    }
-    const bool keep = consumed.count(change.action, change.target) <
-                      executed.count(change.action, change.target);
-    if (keep) {
-      consumed.record(change.action, change.target);
-      kept.push_back(change);
-    }
-    last_transition_kept = keep;
-  }
-  return kept;
 }
 
 std::vector<int> shard_assignments(std::span<const int> members_sorted, int shards) {
@@ -278,9 +204,8 @@ std::vector<int> MembershipService::members_locked() const SHMCAFFE_REQUIRES(mut
   return members;
 }
 
-void MembershipService::rebalance_locked(int trigger) SHMCAFFE_REQUIRES(mutex_) {
+void MembershipService::rebalance_locked() SHMCAFFE_REQUIRES(mutex_) {
   SHMCAFFE_ASSERT_HELD(mutex_);
-  (void)trigger;
   const std::vector<int> members = members_locked();
   std::vector<int> next(static_cast<std::size_t>(capacity_), 0);
   if (!members.empty()) {
@@ -307,8 +232,8 @@ MembershipEpoch MembershipService::join(int worker, std::int64_t at_iteration) {
   status = Status::kActive;
   epoch_ = recovery::next_service_epoch(epoch_);
   joined_.push_back(worker);
-  execution_.record(MembershipAction::kWorkerJoin, worker);
-  rebalance_locked(worker);
+  ledger_.record(MembershipAction::kWorkerJoin, worker);
+  rebalance_locked();
   return epoch_;
 }
 
@@ -321,8 +246,8 @@ MembershipEpoch MembershipService::drain(int worker, std::int64_t at_iteration) 
   status = Status::kDrained;
   epoch_ = recovery::next_service_epoch(epoch_);
   drained_.push_back(worker);
-  execution_.record(MembershipAction::kWorkerDrain, worker);
-  rebalance_locked(worker);
+  ledger_.record(MembershipAction::kWorkerDrain, worker);
+  rebalance_locked();
   return epoch_;
 }
 
@@ -335,8 +260,8 @@ MembershipEpoch MembershipService::evict(int worker, std::int64_t at_iteration) 
   status = Status::kEvicted;
   epoch_ = recovery::next_service_epoch(epoch_);
   evicted_.push_back(worker);
-  execution_.record(MembershipAction::kEvict, worker);
-  rebalance_locked(worker);
+  ledger_.record(MembershipAction::kEvict, worker);
+  rebalance_locked();
   return epoch_;
 }
 
@@ -345,14 +270,14 @@ void MembershipService::quarantine(int worker, std::int64_t at_iteration) {
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return;
   ++quarantine_events_;
-  execution_.record(MembershipAction::kQuarantine, worker);
+  ledger_.record(MembershipAction::kQuarantine, worker);
 }
 
 void MembershipService::readmit_contributor(int worker, std::int64_t at_iteration) {
   (void)at_iteration;
   std::scoped_lock lock(mutex_);
   if (worker < 0 || worker >= capacity_) return;
-  execution_.record(MembershipAction::kReadmitContributor, worker);
+  ledger_.record(MembershipAction::kReadmitContributor, worker);
 }
 
 MembershipEpoch MembershipService::epoch() const {
@@ -407,9 +332,9 @@ std::int64_t MembershipService::quarantine_events() const {
   return quarantine_events_;
 }
 
-MembershipExecution MembershipService::execution() const {
+common::EventLedger<MembershipAction> MembershipService::ledger() const {
   std::scoped_lock lock(mutex_);
-  return execution_;
+  return ledger_;
 }
 
 }  // namespace shmcaffe::elastic

@@ -17,26 +17,25 @@
 //     execute: joins, drains, straggler quarantine/readmit/evict chains
 //     (derived from injected stalls long enough to trip the detector), and
 //     the shard rebalance that follows every membership change.  Both
-//     stacks filter this planned list down to the changes they *actually*
-//     executed and hash it (membership_fingerprint), so "functional == sim"
-//     is a single integer comparison — the style of PR 3's
-//     recovery_fingerprint.
+//     stacks filter this planned list by the changes they *actually*
+//     executed (common::executed_events over the service's ledger), so
+//     "functional == sim" is one list comparison, as for recovery and
+//     integrity (common/run_event.h).
 //   * MembershipService — the run-time registry both stacks drive: it owns
 //     the monotonic *membership epoch* (layered on recovery/epoch.h's
 //     ServiceEpoch fencing: every change of the member set bumps it, so
 //     shard routing cached under an older epoch is stale by construction),
 //     the deterministic worker->home-shard map that rebalances on every
-//     membership change, and the executed-change counts the fingerprint
-//     filter consumes.
+//     membership change, and the ledger of executed changes the filter
+//     consumes.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/ordered_mutex.h"
+#include "common/run_event.h"
 #include "recovery/epoch.h"
 
 namespace shmcaffe::fault {
@@ -146,17 +145,11 @@ enum class MembershipAction : std::uint8_t {
 
 [[nodiscard]] const char* to_string(MembershipAction action);
 
-/// One planned (or executed) membership change.  `at_iteration` is the
-/// planned trigger iteration (board max-iterations for joins, the worker's
-/// own iteration for drains and stall-derived quarantines); rebalances
-/// inherit it from the membership change that triggered them.
-struct MembershipChange {
-  MembershipAction action = MembershipAction::kWorkerJoin;
-  int target = -1;
-  std::int64_t at_iteration = -1;
-
-  friend bool operator==(const MembershipChange&, const MembershipChange&) = default;
-};
+/// One planned (or executed) membership change.  `key` is the planned
+/// trigger iteration (board max-iterations for joins, the worker's own
+/// iteration for drains and stall-derived quarantines); rebalances inherit
+/// it from the membership change that triggered them.
+using MembershipChange = common::RunEvent<MembershipAction>;
 
 /// Expands (plan, faults, policy) into the ordered membership changes the
 /// run will execute.  Joins and drains come from the plan; quarantine /
@@ -165,42 +158,12 @@ struct MembershipChange {
 /// reaches policy.evict_after_violations; stalls after a worker's earliest
 /// crash, after its drain, or after its eviction derive nothing — the
 /// worker is gone).  Every join / drain / evict is followed by its
-/// kShardRebalance.  Deterministically ordered by (at_iteration, action,
-/// target); both stacks filter this list by what actually ran.
+/// kShardRebalance.  Deterministically ordered by (key, action, target);
+/// both stacks filter this list by what actually ran, keeping each
+/// kShardRebalance with its trigger.
 [[nodiscard]] SHMCAFFE_DETERMINISTIC SHMCAFFE_NONBLOCKING std::vector<MembershipChange>
 membership_schedule(const MembershipPlan* plan, const fault::FaultPlan* faults,
                     const MembershipPolicy& policy, int initial_workers);
-
-/// Order-sensitive FNV-1a digest over (action, target, at_iteration) —
-/// identical for a planned schedule and a faithfully executed one.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC SHMCAFFE_NONBLOCKING std::uint64_t membership_fingerprint(
-    std::span<const MembershipChange> changes);
-
-/// Human-readable one-line-per-change rendering.
-[[nodiscard]] std::string describe(std::span<const MembershipChange> changes);
-
-// --- executed-change filtering ----------------------------------------------
-
-/// Per-(action, worker) counts of the membership changes a run actually
-/// executed; MembershipService maintains one, and the sim twin fills an
-/// identical one, so both stacks run the same filter.
-struct MembershipExecution {
-  std::map<int, int> joins;
-  std::map<int, int> drains;
-  std::map<int, int> quarantines;
-  std::map<int, int> readmits;
-  std::map<int, int> evicts;
-
-  void record(MembershipAction action, int target);
-  [[nodiscard]] int count(MembershipAction action, int target) const;
-};
-
-/// Keeps the planned changes that actually executed, in planned order: each
-/// planned (action, target) consumes one executed count; a kShardRebalance
-/// is kept exactly when the membership change immediately preceding it in
-/// the planned list was kept.
-[[nodiscard]] std::vector<MembershipChange> filter_executed(
-    std::span<const MembershipChange> planned, const MembershipExecution& executed);
 
 // --- shard assignment -------------------------------------------------------
 
@@ -216,7 +179,7 @@ struct MembershipExecution {
 
 /// Thread-safe membership registry both stacks drive as changes execute.
 /// Owns the membership epoch, the home-shard map (rebalanced on every
-/// membership change), the executed-change counts, and the counters the
+/// membership change), the ledger of executed changes, and the counters the
 /// results report.  All transitions are idempotent per (worker, state):
 /// joining an active worker or draining a drained one is a no-op.
 class MembershipService {
@@ -251,14 +214,16 @@ class MembershipService {
   /// Worker->shard assignments that changed across all rebalances.
   [[nodiscard]] std::int64_t reassignments() const;
   [[nodiscard]] std::int64_t quarantine_events() const;
-  [[nodiscard]] MembershipExecution execution() const;
+  /// Every executed join, drain, quarantine, readmit and evict, by
+  /// (action, worker); rebalances follow their trigger and are not logged.
+  [[nodiscard]] common::EventLedger<MembershipAction> ledger() const;
 
  private:
   enum class Status : std::uint8_t { kAbsent, kActive, kDrained, kEvicted };
 
-  /// Recomputes the home-shard map after a membership change and logs the
-  /// kShardRebalance; requires mutex_ held.
-  void rebalance_locked(int trigger) SHMCAFFE_REQUIRES(mutex_);
+  /// Recomputes the home-shard map after a membership change; requires
+  /// mutex_ held.
+  void rebalance_locked() SHMCAFFE_REQUIRES(mutex_);
   [[nodiscard]] std::vector<int> members_locked() const SHMCAFFE_REQUIRES(mutex_);
 
   /// Serialises every membership transition and query.  Held across pure
@@ -277,7 +242,7 @@ class MembershipService {
   std::int64_t rebalances_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
   std::int64_t reassignments_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
   std::int64_t quarantine_events_ SHMCAFFE_GUARDED_BY(mutex_) = 0;
-  MembershipExecution execution_ SHMCAFFE_GUARDED_BY(mutex_);
+  common::EventLedger<MembershipAction> ledger_ SHMCAFFE_GUARDED_BY(mutex_);
 };
 
 }  // namespace shmcaffe::elastic

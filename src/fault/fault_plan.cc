@@ -1,9 +1,11 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace shmcaffe::fault {
 
@@ -123,24 +125,15 @@ FaultPlan FaultPlan::generate(const FaultPlanSpec& spec) {
 std::uint64_t FaultPlan::fingerprint() const {
   // FNV-1a over the canonical field encoding of every event, in order.
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  auto mix_double = [&mix](double value) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
   for (const FaultEvent& event : events_) {
-    mix(static_cast<std::uint64_t>(event.kind));
-    mix(static_cast<std::uint64_t>(event.target));
-    mix(static_cast<std::uint64_t>(event.iteration));
-    mix_double(event.start_seconds);
-    mix_double(event.duration_seconds);
-    mix_double(event.severity);
-    mix(event.sequence);
+    const std::uint64_t words[7] = {static_cast<std::uint64_t>(event.kind),
+                                    static_cast<std::uint64_t>(event.target),
+                                    static_cast<std::uint64_t>(event.iteration),
+                                    std::bit_cast<std::uint64_t>(event.start_seconds),
+                                    std::bit_cast<std::uint64_t>(event.duration_seconds),
+                                    std::bit_cast<std::uint64_t>(event.severity),
+                                    event.sequence};
+    hash = common::simd::fnv1a_words(words, sizeof(words), hash);
   }
   return hash;
 }

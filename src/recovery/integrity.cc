@@ -1,8 +1,5 @@
 #include "recovery/integrity.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "smb/server.h"
 
 namespace shmcaffe::recovery {
@@ -21,11 +18,12 @@ std::vector<IntegrityEvent> integrity_schedule(const fault::FaultPlan& plan,
                                                const IntegrityPolicy& policy) {
   std::vector<IntegrityEvent> schedule;
   const auto expand = [&](int target, std::uint64_t marker, IntegrityAction first) {
-    schedule.push_back(IntegrityEvent{first, target, marker});
+    const auto key = static_cast<std::int64_t>(marker);
+    schedule.push_back({first, target, key});
     if (!policy.verify_on_read) return;
-    schedule.push_back(IntegrityEvent{IntegrityAction::kCorruptionDetected, target, marker});
+    schedule.push_back({IntegrityAction::kCorruptionDetected, target, key});
     if (policy.read_repair) {
-      schedule.push_back(IntegrityEvent{IntegrityAction::kCorruptionRepaired, target, marker});
+      schedule.push_back({IntegrityAction::kCorruptionRepaired, target, key});
     }
   };
   for (const fault::FaultEvent& event : plan.events()) {
@@ -42,58 +40,6 @@ std::vector<IntegrityEvent> integrity_schedule(const fault::FaultPlan& plan,
     }
   }
   return schedule;
-}
-
-std::vector<IntegrityEvent> executed_integrity(std::span<const IntegrityEvent> planned,
-                                               const IntegrityOutcome& outcome) {
-  const auto contains = [](const std::vector<std::uint64_t>& markers, std::uint64_t marker) {
-    return std::find(markers.begin(), markers.end(), marker) != markers.end();
-  };
-  std::vector<IntegrityEvent> executed;
-  for (const IntegrityEvent& event : planned) {
-    bool keep = false;
-    switch (event.action) {
-      case IntegrityAction::kCorruptionInjected:
-        keep = contains(outcome.injected, event.marker);
-        break;
-      case IntegrityAction::kCorruptionDetected:
-        keep = contains(outcome.detected, event.marker);
-        break;
-      case IntegrityAction::kCorruptionRepaired:
-        keep = contains(outcome.repaired, event.marker);
-        break;
-      case IntegrityAction::kTornWriteApplied:
-        keep = contains(outcome.torn_applied, event.marker);
-        break;
-    }
-    if (keep) executed.push_back(event);
-  }
-  return executed;
-}
-
-std::uint64_t integrity_fingerprint(std::span<const IntegrityEvent> events) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  for (const IntegrityEvent& event : events) {
-    mix(static_cast<std::uint64_t>(event.action));
-    mix(static_cast<std::uint64_t>(event.target));
-    mix(event.marker);
-  }
-  return hash;
-}
-
-std::string describe(std::span<const IntegrityEvent> events) {
-  std::string out;
-  char line[128];
-  for (const IntegrityEvent& event : events) {
-    std::snprintf(line, sizeof(line), "%s target=%d marker=%llu\n", to_string(event.action),
-                  event.target, static_cast<unsigned long long>(event.marker));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace shmcaffe::recovery

@@ -4,24 +4,24 @@
 // It is the data-plane sibling of recovery_schedule (schedule.h): both
 // training stacks — the functional thread trainer and the discrete-event
 // simulator — derive their expected integrity behaviour from this single
-// function, then fingerprint what *actually executed* (which corruptions
+// function, then filter it by what *actually executed* (which corruptions
 // fired, which were detected by checksum verification, which were repaired
-// by replica vote, which armed torn writes landed).  A faithfully executed
-// run reproduces the planned fingerprint bit-for-bit, and the two stacks
-// must agree with each other on the same plan.
+// by replica vote, which armed torn writes landed) through their
+// common::EventLedger.  A faithfully executed run reproduces the planned
+// list, and the two stacks must agree with each other on the same plan.
 //
 // Every event is keyed by the fault's *marker* (fault/fault_plan.h): the
 // plan-drawn nonzero identity a corruption stamps on the chunks it poisons.
-// Detection and repair attribute themselves to markers, so the executed
-// filter is a set-membership test — no timing enters the fingerprint.
+// Detection and repair attribute themselves to markers, so a stack records
+// each executed integrity event by (action, marker) — no timing enters the
+// executed list.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/ordered_mutex.h"
+#include "common/run_event.h"
 #include "fault/fault_plan.h"
 
 namespace shmcaffe::recovery {
@@ -60,24 +60,10 @@ enum class IntegrityAction : std::uint8_t {
 
 [[nodiscard]] const char* to_string(IntegrityAction action);
 
-/// One planned (or executed) integrity event.
-struct IntegrityEvent {
-  IntegrityAction action = IntegrityAction::kCorruptionInjected;
-  int target = -1;           ///< logical SMB server index
-  std::uint64_t marker = 0;  ///< fault marker (torn writes: high bit set)
-
-  friend bool operator==(const IntegrityEvent&, const IntegrityEvent&) = default;
-};
-
-/// The executed outcome of a run: which markers actually fired / were
-/// detected / were repaired.  Both stacks fill one of these from their own
-/// observability surfaces and filter the planned schedule through it.
-struct IntegrityOutcome {
-  std::vector<std::uint64_t> injected;      ///< corruption markers that fired
-  std::vector<std::uint64_t> detected;      ///< markers caught by verification
-  std::vector<std::uint64_t> repaired;      ///< markers healed by replica vote
-  std::vector<std::uint64_t> torn_applied;  ///< torn-write markers that landed
-};
+/// One planned (or executed) integrity event: `target` is the physical SMB
+/// server index the fault hits, `key` the fault marker (torn writes: the
+/// high bit set, so the key reads negative).
+using IntegrityEvent = common::RunEvent<IntegrityAction>;
 
 /// Expands a fault plan into the integrity events `policy` mandates, in plan
 /// order: every corruption contributes an injection, plus a detection if
@@ -85,20 +71,5 @@ struct IntegrityOutcome {
 /// write contributes an application plus the same detection/repair pair.
 [[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<IntegrityEvent> integrity_schedule(
     const fault::FaultPlan& plan, const IntegrityPolicy& policy);
-
-/// Filters a planned schedule down to what actually executed: an event
-/// survives iff its marker is in the outcome set matching its action.
-/// Order (and therefore the fingerprint) is inherited from the plan, so the
-/// functional and simulated stacks agree by construction when their
-/// outcomes agree.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<IntegrityEvent> executed_integrity(
-    std::span<const IntegrityEvent> planned, const IntegrityOutcome& outcome);
-
-/// Order-sensitive FNV-1a digest over (action, target, marker).
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::uint64_t integrity_fingerprint(
-    std::span<const IntegrityEvent> events);
-
-/// Human-readable one-line-per-event rendering.
-[[nodiscard]] std::string describe(std::span<const IntegrityEvent> events);
 
 }  // namespace shmcaffe::recovery

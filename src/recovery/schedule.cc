@@ -1,8 +1,8 @@
 #include "recovery/schedule.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+#include <utility>
 
 namespace shmcaffe::recovery {
 
@@ -16,7 +16,10 @@ const char* to_string(RecoveryAction action) {
 
 std::vector<RecoveryEvent> recovery_schedule(const fault::FaultPlan& plan,
                                              const RecoveryPolicy& policy) {
-  std::vector<RecoveryEvent> failovers;
+  // Failovers sort by (fail-stop time, target): every failover completes
+  // the same modelled detection latency after its fail-stop, so that is
+  // also the order in which they complete.
+  std::vector<std::pair<double, RecoveryEvent>> failovers;
   // Earliest crash per worker: a worker fail-stops once, so later crash
   // events for the same target are unreachable and must not schedule a
   // second re-admission.
@@ -25,11 +28,8 @@ std::vector<RecoveryEvent> recovery_schedule(const fault::FaultPlan& plan,
     switch (event.kind) {
       case fault::FaultKind::kServerFailStop:
         if (policy.smb_failover) {
-          RecoveryEvent recovery;
-          recovery.action = RecoveryAction::kSmbFailover;
-          recovery.target = event.target;
-          recovery.at_seconds = event.start_seconds + policy.failover_seconds;
-          failovers.push_back(recovery);
+          failovers.push_back(
+              {event.start_seconds, {RecoveryAction::kSmbFailover, event.target, -1}});
         }
         break;
       case fault::FaultKind::kWorkerCrash:
@@ -44,54 +44,40 @@ std::vector<RecoveryEvent> recovery_schedule(const fault::FaultPlan& plan,
         break;
     }
   }
-  std::sort(failovers.begin(), failovers.end(),
-            [](const RecoveryEvent& a, const RecoveryEvent& b) {
-              if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
-              return a.target < b.target;
-            });
+  std::sort(failovers.begin(), failovers.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second.target < b.second.target;
+  });
   std::vector<RecoveryEvent> readmits;
   for (const auto& [worker, iteration] : first_crash) {
-    RecoveryEvent recovery;
-    recovery.action = RecoveryAction::kWorkerReadmit;
-    recovery.target = worker;
-    recovery.at_iteration = iteration;
-    recovery.at_seconds = policy.readmit_delay_seconds;
-    readmits.push_back(recovery);
+    readmits.push_back({RecoveryAction::kWorkerReadmit, worker, iteration});
   }
   std::sort(readmits.begin(), readmits.end(),
             [](const RecoveryEvent& a, const RecoveryEvent& b) {
-              if (a.at_iteration != b.at_iteration) return a.at_iteration < b.at_iteration;
+              if (a.key != b.key) return a.key < b.key;
               return a.target < b.target;
             });
-  std::vector<RecoveryEvent> schedule = std::move(failovers);
+  std::vector<RecoveryEvent> schedule;
+  for (const auto& failover : failovers) schedule.push_back(failover.second);
   schedule.insert(schedule.end(), readmits.begin(), readmits.end());
   return schedule;
 }
 
-std::uint64_t schedule_fingerprint(std::span<const RecoveryEvent> events) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  for (const RecoveryEvent& event : events) {
-    mix(static_cast<std::uint64_t>(event.action));
-    mix(static_cast<std::uint64_t>(event.target));
-    mix(static_cast<std::uint64_t>(event.at_iteration));
+std::vector<RecoveryEvent> executed_recovery(const fault::FaultPlan& plan,
+                                             const RecoveryPolicy& policy,
+                                             std::span<const std::vector<int>> failover_logs,
+                                             int replicas,
+                                             std::span<const int> recovered_targets) {
+  common::EventLedger<RecoveryAction> ledger;
+  for (std::size_t shard = 0; shard < failover_logs.size(); ++shard) {
+    for (const int replica : failover_logs[shard]) {
+      ledger.record(RecoveryAction::kSmbFailover, static_cast<int>(shard) * replicas + replica);
+    }
   }
-  return hash;
-}
-
-std::string describe(std::span<const RecoveryEvent> events) {
-  std::string out;
-  char line[128];
-  for (const RecoveryEvent& event : events) {
-    std::snprintf(line, sizeof(line), "%s target=%d iter=%lld at=%.3fs\n",
-                  to_string(event.action), event.target,
-                  static_cast<long long>(event.at_iteration), event.at_seconds);
-    out += line;
+  for (const int target : recovered_targets) {
+    ledger.record(RecoveryAction::kWorkerReadmit, target);
   }
-  return out;
+  return common::executed_events(recovery_schedule(plan, policy), ledger);
 }
 
 }  // namespace shmcaffe::recovery

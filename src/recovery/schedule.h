@@ -4,17 +4,17 @@
 // Both training stacks — the functional thread trainer and the discrete-
 // event simulator — derive their recovery behaviour from this single
 // function, so "the same plan produces the identical recovery schedule in
-// both stacks" holds by construction; each stack additionally fingerprints
-// the actions it *actually executed*, and tests assert the executed
-// fingerprints match the planned one.
+// both stacks" holds by construction; each stack additionally reports the
+// actions it *actually executed* (executed_recovery), and tests assert the
+// executed lists match the planned one and each other.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/ordered_mutex.h"
+#include "common/run_event.h"
 #include "fault/fault_plan.h"
 
 namespace shmcaffe::recovery {
@@ -41,31 +41,29 @@ enum class RecoveryAction : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RecoveryAction action);
 
-/// One planned (or executed) recovery action.
-struct RecoveryEvent {
-  RecoveryAction action = RecoveryAction::kSmbFailover;
-  int target = -1;              ///< server index (failover) / worker rank (readmit)
-  std::int64_t at_iteration = -1;  ///< crash iteration for readmits; -1 for failovers
-  /// Timing model only (failover detection time / readmit delay); excluded
-  /// from the fingerprint so functional wall time cannot perturb it.
-  double at_seconds = 0.0;
-
-  friend bool operator==(const RecoveryEvent&, const RecoveryEvent&) = default;
-};
+/// One planned (or executed) recovery action: `target` is the physical
+/// server index (failover) or worker rank (readmit); `key` is the crash
+/// iteration for readmits and -1 for failovers.
+using RecoveryEvent = common::RunEvent<RecoveryAction>;
 
 /// Expands a fault plan into the recovery actions `policy` mandates:
 /// a failover per fail-stopped server, a re-admission per crashed worker
 /// (earliest crash only — a worker dies once).  Deterministically ordered:
-/// failovers by (start time, target), then readmits by (iteration, target).
+/// failovers by (fail-stop time, target), then readmits by (iteration,
+/// target).
 [[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<RecoveryEvent> recovery_schedule(
     const fault::FaultPlan& plan, const RecoveryPolicy& policy);
 
-/// Order-sensitive FNV-1a digest over (action, target, at_iteration) —
-/// identical for a planned schedule and a faithfully executed one.
-[[nodiscard]] SHMCAFFE_DETERMINISTIC std::uint64_t schedule_fingerprint(
-    std::span<const RecoveryEvent> events);
-
-/// Human-readable one-line-per-event rendering.
-[[nodiscard]] std::string describe(std::span<const RecoveryEvent> events);
+/// The recovery actions a run executed, in planned order: recovery_schedule
+/// filtered by a ledger holding one kSmbFailover per replica a shard's
+/// failover log names (`failover_logs[s]` lists the replicas that failed
+/// while active; target s * replicas + replica) and one kWorkerReadmit per
+/// recovered target.  Both stacks call it with what they observed: the
+/// functional trainer its recovered slots, the simulator each recovered
+/// group's leading slot.
+[[nodiscard]] SHMCAFFE_DETERMINISTIC std::vector<RecoveryEvent> executed_recovery(
+    const fault::FaultPlan& plan, const RecoveryPolicy& policy,
+    std::span<const std::vector<int>> failover_logs, int replicas,
+    std::span<const int> recovered_targets);
 
 }  // namespace shmcaffe::recovery

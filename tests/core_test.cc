@@ -376,6 +376,24 @@ TEST(TrainShmCaffe, FullySynchronousSingleGroupLearns) {
   EXPECT_GT(result.final_accuracy, 0.8);
 }
 
+TEST(TrainShmCaffe, SynchronousGroupEndsExactlyAtItsTarget) {
+  // ShmCaffe-H: the group root casts the average-iterations vote after the
+  // gradient allreduce, and every member posts its progress before entering
+  // it, so the vote never reads a member one iteration behind and the group
+  // stops exactly at its target — on every run, whatever the interleaving.
+  DistTrainOptions options = small_train_options(4, 4);
+  options.epochs = 1;
+  const std::int64_t target = 1536 / 16 / 4;  // one epoch's share per worker
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    options.seed = 0x4400 + static_cast<std::uint64_t>(repeat);
+    const TrainResult result = train_shmcaffe(options);
+    ASSERT_EQ(result.iterations_per_worker.size(), 4u);
+    for (std::size_t w = 0; w < 4; ++w) {
+      EXPECT_EQ(result.iterations_per_worker[w], target) << "repeat " << repeat << " worker " << w;
+    }
+  }
+}
+
 TEST(TrainShmCaffe, UpdateIntervalTwoStillConverges) {
   DistTrainOptions options = small_train_options(4, 1);
   options.update_interval = 2;

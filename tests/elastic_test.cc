@@ -5,16 +5,18 @@
 // straggler sweeps, the quarantine hold on the stop), the simulated twin at
 // scale (heterogeneous cohorts, staleness accounting), the elastic baseline
 // star, and the end-to-end acceptance runs — workers join, drain,
-// straggle-and-quarantine, and crash in one run with bit-identical
-// membership fingerprints from the functional and simulated stacks.
+// straggle-and-quarantine, and crash in one run with identical executed
+// membership lists from the functional and simulated stacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/sim_platforms.h"
@@ -113,11 +115,10 @@ TEST(MembershipSchedule, OrdersJoinsDrainsAndChainsDeterministically) {
 
   // Same inputs, same schedule, same fingerprint — every time.
   const auto again = elastic::membership_schedule(&plan, &faults, detection_policy(), 4);
-  EXPECT_EQ(elastic::membership_fingerprint(changes),
-            elastic::membership_fingerprint(again));
-  EXPECT_NE(elastic::membership_fingerprint(changes),
-            elastic::membership_fingerprint(std::vector<MembershipChange>{}));
-  const std::string rendered = elastic::describe(changes);
+  EXPECT_EQ(common::fingerprint(changes), common::fingerprint(again));
+  EXPECT_NE(common::fingerprint(changes),
+            common::fingerprint(std::vector<MembershipChange>{}));
+  const std::string rendered = common::describe(changes);
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(rendered.begin(), rendered.end(), '\n')),
             changes.size());
@@ -180,14 +181,14 @@ TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
       {MembershipAction::kWorkerDrain, 1, 9},
       {MembershipAction::kShardRebalance, 1, 9},
   };
-  elastic::MembershipExecution executed;
+  common::EventLedger<MembershipAction> executed;
   executed.record(MembershipAction::kQuarantine, 2);
   executed.record(MembershipAction::kReadmitContributor, 2);
   executed.record(MembershipAction::kWorkerJoin, 4);
   executed.record(MembershipAction::kShardRebalance, 4);
 
   const std::vector<MembershipChange> kept =
-      elastic::filter_executed(planned, executed);
+      common::executed_events(planned, executed, MembershipAction::kShardRebalance);
   // The drain never ran, so neither it nor its rebalance survives.
   const std::vector<MembershipChange> expected{
       {MembershipAction::kQuarantine, 2, 3},
@@ -195,9 +196,8 @@ TEST(FilterExecuted, KeepsExecutedChangesAndTheirRebalances) {
       {MembershipAction::kWorkerJoin, 4, 6},
       {MembershipAction::kShardRebalance, 4, 6},
   };
-  EXPECT_EQ(kept, expected);
-  EXPECT_NE(elastic::membership_fingerprint(kept),
-            elastic::membership_fingerprint(planned));
+  EXPECT_EQ(common::first_divergence(kept, expected), "");
+  EXPECT_NE(common::fingerprint(kept), common::fingerprint(planned));
 }
 
 // --- straggler math --------------------------------------------------------
@@ -290,13 +290,23 @@ TEST(MembershipService, EpochBumpsOnMembershipChangesOnly) {
   EXPECT_EQ(service.rebalances(), 3);
   EXPECT_EQ(service.joined(), std::vector<int>{3});
 
-  const elastic::MembershipExecution executed = service.execution();
-  EXPECT_EQ(executed.count(MembershipAction::kWorkerJoin, 3), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kWorkerDrain, 1), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kEvict, 2), 1);
-  EXPECT_EQ(executed.count(MembershipAction::kQuarantine, 1), 1);
-  // Rebalances are derived from their trigger, never counted directly.
-  EXPECT_EQ(executed.count(MembershipAction::kShardRebalance, 3), 0);
+  // The ledger holds each executed change once, in execution order (the
+  // idempotent replays above logged nothing).
+  const common::EventLedger<MembershipAction> ledger = service.ledger();
+  std::vector<std::pair<MembershipAction, int>> logged;
+  for (const auto& entry : ledger.entries()) {
+    ASSERT_TRUE(entry.target.has_value());
+    EXPECT_FALSE(entry.key.has_value());
+    logged.emplace_back(entry.action, *entry.target);
+  }
+  const std::vector<std::pair<MembershipAction, int>> expected{
+      {MembershipAction::kWorkerJoin, 3},
+      {MembershipAction::kQuarantine, 1},
+      {MembershipAction::kReadmitContributor, 1},
+      {MembershipAction::kWorkerDrain, 1},
+      {MembershipAction::kEvict, 2}};
+  // Rebalances are derived from their trigger, never logged directly.
+  EXPECT_EQ(logged, expected);
 }
 
 TEST(MembershipService, HomeShardsSpreadAndRebalance) {
@@ -514,15 +524,16 @@ TEST(SimElastic, JoinsAndDrainsAreDeterministicAndFingerprinted) {
   EXPECT_GT(timing.completed_worker_iterations,
             static_cast<std::int64_t>(8) * options.iterations);
 
-  // Everything planned executed, so the fingerprint equals the plan's.
+  // Everything planned executed, so the executed list is the plan's.
   const MembershipPolicy policy;
-  EXPECT_EQ(timing.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 8)));
+  EXPECT_EQ(common::first_divergence(
+                timing.membership_events,
+                std::optional(elastic::membership_schedule(&plan, nullptr, policy, 8))),
+            "");
 
   const cluster::PlatformTiming again = core::simulate_shmcaffe(options);
   EXPECT_EQ(again.makespan, timing.makespan);
-  EXPECT_EQ(again.membership_fingerprint, timing.membership_fingerprint);
+  EXPECT_EQ(common::first_divergence(again.membership_events, timing.membership_events), "");
 }
 
 TEST(SimElastic, StallChainsQuarantineThenEvict) {
@@ -552,9 +563,10 @@ TEST(SimElastic, StallChainsQuarantineThenEvict) {
   EXPECT_EQ(timing.quarantine_events, 1);
   EXPECT_LT(timing.completed_worker_iterations,
             static_cast<std::int64_t>(4) * options.iterations);
-  EXPECT_EQ(timing.membership_fingerprint,
-            elastic::membership_fingerprint(elastic::membership_schedule(
-                nullptr, &faults, options.membership_policy, 4)));
+  EXPECT_EQ(common::first_divergence(timing.membership_events,
+                                     std::optional(elastic::membership_schedule(
+                                         nullptr, &faults, options.membership_policy, 4))),
+            "");
 }
 
 TEST(SimElastic, HeterogeneityslowsTheCohortAndViolatesStaleness) {
@@ -626,14 +638,16 @@ TEST(SimPlatformsElastic, CaffeMpiHonoursThePlanRingsIgnoreIt) {
   EXPECT_EQ(star.drained_workers, std::vector<int>{1});
   EXPECT_EQ(star.rebalances, 2);
   const MembershipPolicy policy;
-  EXPECT_EQ(star.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 4)));
+  EXPECT_EQ(common::first_divergence(
+                star.membership_events,
+                std::optional(elastic::membership_schedule(&plan, nullptr, policy, 4))),
+            "");
 
-  // The fixed rings cannot resize: the plan is ignored, counters stay zero.
+  // The fixed rings cannot resize: the plan is ignored, counters stay zero
+  // and no membership is tracked.
   const cluster::PlatformTiming ring = baselines::simulate_mpicaffe(options);
   EXPECT_TRUE(ring.joined_workers.empty());
-  EXPECT_EQ(ring.membership_fingerprint, 0u);
+  EXPECT_FALSE(ring.membership_events.has_value());
   const cluster::PlatformTiming nccl = baselines::simulate_caffe(options);
   EXPECT_TRUE(nccl.joined_workers.empty());
 }
@@ -697,16 +711,16 @@ TEST(ElasticEndToEnd, JoinAndDrainReportedFromBothStacks) {
   EXPECT_EQ(result.worker_outcomes[3], core::WorkerOutcome::kFinished);
   EXPECT_GT(result.final_accuracy, 0.4);
 
-  // The simulated twin consumes the identical plan and lands on the same
-  // membership fingerprint.
+  // The simulated twin consumes the identical plan and executes the same
+  // membership changes.
   core::SimShmCaffeOptions sim;
   sim.workers = 3;
   sim.group_size = 1;
   sim.iterations = 96;
   sim.membership = &plan;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
+  ASSERT_TRUE(result.membership_events.has_value());
+  EXPECT_EQ(common::first_divergence(timing.membership_events, result.membership_events), "");
   EXPECT_EQ(timing.joined_workers, result.joined_workers);
   EXPECT_EQ(timing.drained_workers, result.drained_workers);
   EXPECT_EQ(timing.rebalances, result.rebalances);
@@ -744,8 +758,8 @@ TEST(ElasticEndToEnd, JoinDuringFailover) {
   sim.membership = &plan;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  EXPECT_EQ(common::first_divergence(timing.membership_events, result.membership_events), "");
+  EXPECT_EQ(common::first_divergence(timing.recovery_events, result.recovery_events), "");
   EXPECT_EQ(timing.smb_failovers, result.smb_failovers);
 }
 
@@ -771,9 +785,10 @@ TEST(ElasticEndToEnd, DrainWhileCheckpointing) {
   EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
   EXPECT_EQ(result.worker_outcomes[1], core::WorkerOutcome::kDrained);
   const MembershipPolicy policy;
-  EXPECT_EQ(result.membership_fingerprint,
-            elastic::membership_fingerprint(
-                elastic::membership_schedule(&plan, nullptr, policy, 2)));
+  EXPECT_EQ(common::first_divergence(
+                result.membership_events,
+                std::optional(elastic::membership_schedule(&plan, nullptr, policy, 2))),
+            "");
 }
 
 /// Policy used by the straggler end-to-end runs: the stall comfortably
@@ -829,8 +844,8 @@ TEST(ElasticEndToEnd, QuarantineCatchUpReadmit) {
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
   EXPECT_EQ(timing.quarantine_events, result.quarantine_events);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
+  ASSERT_TRUE(result.membership_events.has_value());
+  EXPECT_EQ(common::first_divergence(timing.membership_events, result.membership_events), "");
 }
 
 TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
@@ -838,7 +853,7 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   // worker drains voluntarily, a worker straggles into quarantine and is
   // readmitted after catching up, and a worker crashes and is re-admitted
   // by the recovery layer — while the SMB primary fails over.  Both stacks
-  // must land on bit-identical membership fingerprints.
+  // must execute identical membership and recovery lists.
   MembershipPlan plan;
   plan.add({MembershipEventKind::kJoin, 4, 6});
   plan.add({MembershipEventKind::kDrain, 1, 200});
@@ -883,8 +898,8 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   // At least the planned stall demotion; worker 3's dying silence may trip
   // the detector too before the heartbeat fence declares it dead (the
   // detector's silence guard is far below the fencing timeout) — that
-  // unplanned quarantine is exactly what filter_executed discards, so the
-  // fingerprints below still match bit-for-bit.
+  // unplanned quarantine is exactly what the executed-event filter discards,
+  // so the executed lists below still match event for event.
   EXPECT_GE(result.quarantine_events, 1);
   EXPECT_EQ(result.recovered_workers, std::vector<int>{3});
   EXPECT_EQ(result.smb_failovers, 1);
@@ -903,9 +918,9 @@ TEST(ElasticEndToEnd, AcceptanceJoinDrainQuarantineCrashInOneRun) {
   sim.membership_policy = options.membership_policy;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.membership_fingerprint, result.membership_fingerprint);
-  EXPECT_NE(result.membership_fingerprint, 0u);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  ASSERT_TRUE(result.membership_events.has_value());
+  EXPECT_EQ(common::first_divergence(timing.membership_events, result.membership_events), "");
+  EXPECT_EQ(common::first_divergence(timing.recovery_events, result.recovery_events), "");
   EXPECT_EQ(timing.joined_workers, result.joined_workers);
   EXPECT_EQ(timing.drained_workers, result.drained_workers);
   EXPECT_EQ(timing.quarantine_events, 1);  // the sim models the planned stall only

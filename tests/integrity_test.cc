@@ -4,7 +4,7 @@
 // retransmission (idempotent replay), checkpoint-slot corruption fallback,
 // and the acceptance runs — a seeded corruption plan through a replicated
 // trainer detects, repairs and converges to the fault-free result, with the
-// functional and simulated stacks emitting identical integrity fingerprints.
+// functional and simulated stacks executing identical integrity lists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,7 +36,6 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using recovery::IntegrityAction;
 using recovery::IntegrityEvent;
-using recovery::IntegrityOutcome;
 using recovery::IntegrityPolicy;
 using recovery::ReplicatedSmb;
 
@@ -371,7 +370,8 @@ TEST(IntegritySchedule, PolicyGatesDetectionAndRepair) {
   EXPECT_EQ(detected[1].action, IntegrityAction::kCorruptionDetected);
   EXPECT_EQ(detected[2].action, IntegrityAction::kTornWriteApplied);
   EXPECT_EQ(detected[3].action, IntegrityAction::kCorruptionDetected);
-  EXPECT_EQ(detected[3].marker, smb::SmbServer::kTornWriteMarkerBit | 4);
+  EXPECT_EQ(static_cast<std::uint64_t>(detected[3].key),
+            smb::SmbServer::kTornWriteMarkerBit | 4);
 
   verify.read_repair = true;
   const auto repaired = recovery::integrity_schedule(corruption_plan(), verify);
@@ -379,10 +379,8 @@ TEST(IntegritySchedule, PolicyGatesDetectionAndRepair) {
   // Same plan, same policy — bit-identical schedule and fingerprint.
   const auto again = recovery::integrity_schedule(corruption_plan(), verify);
   EXPECT_EQ(repaired, again);
-  EXPECT_EQ(recovery::integrity_fingerprint(repaired),
-            recovery::integrity_fingerprint(again));
-  EXPECT_NE(recovery::integrity_fingerprint(repaired),
-            recovery::integrity_fingerprint(detected));
+  EXPECT_EQ(common::fingerprint(repaired), common::fingerprint(again));
+  EXPECT_NE(common::fingerprint(repaired), common::fingerprint(detected));
 }
 
 TEST(IntegritySchedule, ExecutedFilterKeepsOnlyObservedMarkers) {
@@ -390,20 +388,20 @@ TEST(IntegritySchedule, ExecutedFilterKeepsOnlyObservedMarkers) {
   policy.checksum_chunks = true;
   policy.verify_on_read = true;
   const auto planned = recovery::integrity_schedule(corruption_plan(), policy);
-  IntegrityOutcome outcome;
-  outcome.injected = {0x5eed};
-  outcome.detected = {0x5eed};
+  common::EventLedger<IntegrityAction> ledger;
+  ledger.record_key(IntegrityAction::kCorruptionInjected, 0x5eed);
+  ledger.record_key(IntegrityAction::kCorruptionDetected, 0x5eed);
   // The torn write never reached its ordinal and the repair never ran.
-  const auto executed = recovery::executed_integrity(planned, outcome);
+  const auto executed = common::executed_events(planned, ledger);
   ASSERT_EQ(executed.size(), 2u);
   EXPECT_EQ(executed[0].action, IntegrityAction::kCorruptionInjected);
   EXPECT_EQ(executed[1].action, IntegrityAction::kCorruptionDetected);
 
-  IntegrityOutcome nothing;
-  EXPECT_TRUE(recovery::executed_integrity(planned, nothing).empty());
+  const common::EventLedger<IntegrityAction> nothing;
+  EXPECT_TRUE(common::executed_events(planned, nothing).empty());
   const std::vector<IntegrityEvent> none;
-  EXPECT_EQ(recovery::integrity_fingerprint(recovery::executed_integrity(planned, nothing)),
-            recovery::integrity_fingerprint(none));
+  EXPECT_EQ(common::fingerprint(common::executed_events(planned, nothing)),
+            common::fingerprint(none));
 }
 
 TEST(IntegritySchedule, DescribeMentionsEveryEvent) {
@@ -411,7 +409,7 @@ TEST(IntegritySchedule, DescribeMentionsEveryEvent) {
   policy.checksum_chunks = true;
   policy.verify_on_read = true;
   const auto planned = recovery::integrity_schedule(corruption_plan(), policy);
-  const std::string text = recovery::describe(planned);
+  const std::string text = common::describe(planned);
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
             planned.size());
 }
@@ -568,11 +566,11 @@ TEST(IntegrityEndToEnd, CorruptionIsDetectedRepairedAndHarmless) {
   EXPECT_EQ(result.final_accuracy, baseline.final_accuracy);
   EXPECT_EQ(result.final_loss, baseline.final_loss);
 
-  // Everything planned executed: the fingerprint equals the full schedule's.
+  // Everything planned executed: the executed list is the full schedule.
   const auto planned =
       recovery::integrity_schedule(injector.plan(), options.integrity);
-  EXPECT_EQ(result.integrity_fingerprint, recovery::integrity_fingerprint(planned));
-  EXPECT_NE(result.integrity_fingerprint, 0u);
+  ASSERT_TRUE(result.integrity_events.has_value());
+  EXPECT_EQ(common::first_divergence(*result.integrity_events, planned), "");
 }
 
 TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
@@ -593,8 +591,8 @@ TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
 
-  EXPECT_EQ(timing.integrity_fingerprint, result.integrity_fingerprint);
-  EXPECT_NE(timing.integrity_fingerprint, 0u);
+  ASSERT_TRUE(timing.integrity_events.has_value());
+  EXPECT_EQ(common::first_divergence(timing.integrity_events, result.integrity_events), "");
   EXPECT_EQ(timing.corruptions_detected, result.corruptions_detected);
   EXPECT_GT(timing.repair_time, 0);
   EXPECT_GT(timing.scrub_passes, 0);
@@ -605,7 +603,7 @@ TEST(IntegrityEndToEnd, FunctionalAndSimulatedFingerprintsAgree) {
   clean.faults = nullptr;
   const cluster::PlatformTiming unfaulted = core::simulate_shmcaffe(clean);
   EXPECT_GT(timing.makespan, unfaulted.makespan);
-  EXPECT_EQ(unfaulted.integrity_fingerprint, 0u);
+  EXPECT_FALSE(unfaulted.integrity_events.has_value());
 }
 
 TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
@@ -634,10 +632,11 @@ TEST(IntegrityEndToEnd, WithoutRepairDetectionDegradesToRollback) {
   EXPECT_GE(result.integrity_rollbacks, 1);
   EXPECT_EQ(result.worker_outcomes[0], core::WorkerOutcome::kFinished);
 
-  // The executed schedule (inject + detect, no repair) fingerprints exactly
-  // as planned under this policy.
+  // The executed schedule (inject + detect, no repair) is exactly the one
+  // planned under this policy.
   const auto planned = recovery::integrity_schedule(plan, options.integrity);
-  EXPECT_EQ(result.integrity_fingerprint, recovery::integrity_fingerprint(planned));
+  ASSERT_TRUE(result.integrity_events.has_value());
+  EXPECT_EQ(common::first_divergence(*result.integrity_events, planned), "");
 }
 
 TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {
@@ -660,7 +659,7 @@ TEST(IntegrityEndToEnd, GeneratedPlanRunsDeterministically) {
   options.faults = &injector;
   const core::TrainResult a = core::train_shmcaffe(options);
   const core::TrainResult b = core::train_shmcaffe(options);
-  EXPECT_EQ(a.integrity_fingerprint, b.integrity_fingerprint);
+  EXPECT_EQ(common::first_divergence(a.integrity_events, b.integrity_events), "");
   EXPECT_EQ(a.corruptions_detected, b.corruptions_detected);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
 }

@@ -825,6 +825,21 @@ TEST(DeterminismRule, FlagsClockReadsReachableFromRoots) {
   EXPECT_TRUE(repo_fires({{"src/elastic/stamp.cc", source}}, "determinism"));
 }
 
+TEST(DeterminismRule, IndexesFunctionTemplatesLikeFunctions) {
+  // A function template's annotation makes it a root, and its body is
+  // checked like any other root's.
+  const std::string tainted =
+      "template <typename Map>\n"
+      "SHMCAFFE_DETERMINISTIC std::uint64_t digest(const std::unordered_map<int, Map>& m) {\n"
+      "  std::uint64_t h = 0;\n"
+      "  for (const auto& entry : m) h += entry.first;\n"
+      "  return h;\n"
+      "}\n";
+  EXPECT_TRUE(repo_fires({{"src/common/digest.h", tainted}}, "determinism"));
+  const std::string json = coverage_json({{"src/common/digest.h", tainted}});
+  EXPECT_NE(json.find("\"deterministic_roots\": 1"), std::string::npos) << json;
+}
+
 // --- stale-allow ------------------------------------------------------------
 
 TEST(StaleAllowRule, ReportsSuppressionsThatCatchNothing) {

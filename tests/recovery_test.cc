@@ -2,8 +2,8 @@
 // failover, epoch fencing, idempotent tagged replay), crash-consistent
 // double-buffered checkpoints, the shared recovery schedule, progress-board
 // re-admission, and the end-to-end acceptance runs — training survives a
-// primary SMB fail-stop plus a worker crash with an identical recovery
-// fingerprint in the functional and simulated stacks, and a checkpoint
+// primary SMB fail-stop plus a worker crash with an identical executed
+// recovery list in the functional and simulated stacks, and a checkpoint
 // resume reproduces the uninterrupted run's result exactly.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -344,18 +345,17 @@ TEST(RecoverySchedule, OrdersFailoversThenReadmitsDeterministically) {
   EXPECT_EQ(events[1].target, 0);
   EXPECT_EQ(events[2].action, recovery::RecoveryAction::kWorkerReadmit);
   EXPECT_EQ(events[2].target, 2);
-  EXPECT_EQ(events[2].at_iteration, 3);
+  EXPECT_EQ(events[2].key, 3);
   EXPECT_EQ(events[3].action, recovery::RecoveryAction::kWorkerReadmit);
   EXPECT_EQ(events[3].target, 1);
-  EXPECT_EQ(events[3].at_iteration, 9);
+  EXPECT_EQ(events[3].key, 9);
 
   // Same inputs, same schedule, same fingerprint — every time.
   const std::vector<recovery::RecoveryEvent> again =
       recovery_schedule(recovery_plan(), policy);
   EXPECT_EQ(events, again);
-  EXPECT_EQ(recovery::schedule_fingerprint(events),
-            recovery::schedule_fingerprint(again));
-  EXPECT_NE(recovery::schedule_fingerprint(events), 0u);
+  EXPECT_EQ(common::fingerprint(events), common::fingerprint(again));
+  EXPECT_NE(common::fingerprint(events), 0u);
 }
 
 TEST(RecoverySchedule, PolicyGatesActions) {
@@ -374,17 +374,90 @@ TEST(RecoverySchedule, PolicyGatesActions) {
 
   RecoveryPolicy everything;
   everything.respawn_crashed = true;
-  EXPECT_NE(recovery::schedule_fingerprint(recovery_schedule(recovery_plan(), everything)),
-            recovery::schedule_fingerprint(failovers));
+  EXPECT_NE(common::fingerprint(recovery_schedule(recovery_plan(), everything)),
+            common::fingerprint(failovers));
 }
 
 TEST(RecoverySchedule, DescribeMentionsEveryEvent) {
   RecoveryPolicy policy;
   policy.respawn_crashed = true;
   const auto events = recovery_schedule(recovery_plan(), policy);
-  const std::string text = recovery::describe(events);
+  const std::string text = common::describe(events);
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
             events.size());
+}
+
+// --- the shared executed-recovery filter ----------------------------------
+
+FaultEvent fail_stop(int target, double at) {
+  FaultEvent event;
+  event.kind = FaultKind::kServerFailStop;
+  event.target = target;
+  event.start_seconds = at;
+  return event;
+}
+
+TEST(ExecutedRecovery, FailoverCountsOncePerLoggedReplica) {
+  // Replica 0 of shard 0 fail-stops twice in the plan but the ensemble's log
+  // names it once: the second planned failover is dropped.  Replica 1 never
+  // failed while active, so its planned failover is dropped too.
+  const FaultPlan plan({fail_stop(0, 0.1), fail_stop(1, 0.2), fail_stop(0, 0.3)});
+  const std::vector<std::vector<int>> logs{{0}};
+  const auto executed = recovery::executed_recovery(plan, RecoveryPolicy{}, logs, 2, {});
+  const std::vector<recovery::RecoveryEvent> expected{
+      {recovery::RecoveryAction::kSmbFailover, 0, -1}};
+  EXPECT_EQ(common::first_divergence(executed, expected), "");
+}
+
+TEST(ExecutedRecovery, OutOfRangeShardIsSkipped) {
+  // Target 5 with two replicas is shard 2; the run has logs for shards 0
+  // and 1 only, so that failover can never have executed.
+  const FaultPlan plan({fail_stop(5, 0.1), fail_stop(2, 0.2)});
+  const std::vector<std::vector<int>> logs{{}, {0}};
+  const auto executed = recovery::executed_recovery(plan, RecoveryPolicy{}, logs, 2, {});
+  const std::vector<recovery::RecoveryEvent> expected{
+      {recovery::RecoveryAction::kSmbFailover, 2, -1}};
+  EXPECT_EQ(common::first_divergence(executed, expected), "");
+}
+
+TEST(ExecutedRecovery, ReadmitCountsOnlyForARecoveredTarget) {
+  FaultPlan plan;
+  for (const auto& [worker, iteration] : {std::pair{1, 5}, std::pair{3, 7}}) {
+    FaultEvent crash;
+    crash.kind = FaultKind::kWorkerCrash;
+    crash.target = worker;
+    crash.iteration = iteration;
+    plan.add(crash);
+  }
+  RecoveryPolicy policy;
+  policy.respawn_crashed = true;
+  const std::vector<int> recovered{3};
+  const auto executed = recovery::executed_recovery(plan, policy, {}, 2, recovered);
+  const std::vector<recovery::RecoveryEvent> expected{
+      {recovery::RecoveryAction::kWorkerReadmit, 3, 7}};
+  EXPECT_EQ(common::first_divergence(executed, expected), "");
+}
+
+TEST(RunEventLists, FirstDivergenceNamesTheIndexAndBothEvents) {
+  using recovery::RecoveryAction;
+  const std::vector<recovery::RecoveryEvent> a{{RecoveryAction::kSmbFailover, 0, -1},
+                                               {RecoveryAction::kSmbFailover, 3, -1},
+                                               {RecoveryAction::kWorkerReadmit, 2, 4}};
+  std::vector<recovery::RecoveryEvent> b = a;
+  b[2].key = 9;
+  EXPECT_EQ(common::first_divergence(a, a), "");
+  EXPECT_EQ(common::first_divergence(a, b),
+            "first divergence at event 2: worker_readmit target=2 key=4 vs "
+            "worker_readmit target=2 key=9");
+  // A strict prefix diverges where the shorter list ends.
+  const std::vector<recovery::RecoveryEvent> prefix(a.begin(), a.begin() + 1);
+  EXPECT_EQ(common::first_divergence(prefix, a),
+            "first divergence at event 1: end of list vs smb_failover target=3 key=-1");
+  // An untracked family differs from a tracked one, even an empty one.
+  const cluster::ExecutedEvents<RecoveryAction> untracked;
+  const cluster::ExecutedEvents<RecoveryAction> empty{std::vector<recovery::RecoveryEvent>{}};
+  EXPECT_EQ(common::first_divergence(untracked, untracked), "");
+  EXPECT_NE(common::first_divergence(untracked, empty), "");
 }
 
 // --- progress-board re-admission -----------------------------------------
@@ -479,8 +552,8 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   // The executed recovery actions are exactly the planned schedule.
   RecoveryPolicy policy = options.recovery;
   const auto planned = recovery_schedule(plan, policy);
-  EXPECT_EQ(result.recovery_fingerprint, recovery::schedule_fingerprint(planned));
-  EXPECT_NE(result.recovery_fingerprint, 0u);
+  ASSERT_TRUE(result.recovery_events.has_value());
+  EXPECT_EQ(common::first_divergence(*result.recovery_events, planned), "");
 
   // The sim twin derives the identical recovery schedule from the same plan.
   core::SimShmCaffeOptions sim;
@@ -492,7 +565,7 @@ TEST(RecoveryEndToEnd, TrainingSurvivesPrimaryFailStopAndWorkerCrash) {
   sim.recovery = policy;
   sim.faults = &injector;
   const cluster::PlatformTiming timing = core::simulate_shmcaffe(sim);
-  EXPECT_EQ(timing.recovery_fingerprint, result.recovery_fingerprint);
+  EXPECT_EQ(common::first_divergence(timing.recovery_events, result.recovery_events), "");
   EXPECT_EQ(timing.recovered_workers, result.recovered_workers);
   EXPECT_EQ(timing.smb_failovers, result.smb_failovers);
 }
@@ -532,7 +605,7 @@ TEST(RecoveryEndToEnd, SimModelsFailoverPauseAndReadmitDelay) {
   EXPECT_EQ(recovered.smb_failovers, 1);
   const cluster::PlatformTiming again = core::simulate_shmcaffe(faulted);
   EXPECT_EQ(again.makespan, recovered.makespan);
-  EXPECT_EQ(again.recovery_fingerprint, recovered.recovery_fingerprint);
+  EXPECT_EQ(common::first_divergence(again.recovery_events, recovered.recovery_events), "");
 }
 
 // --- end-to-end: checkpoint / resume -------------------------------------

@@ -456,6 +456,20 @@ void extract_function_annotations(std::string& head, std::vector<std::string>& r
   }
 }
 
+/// Drops a leading `template <...>` parameter list, so a function template
+/// is indexed (and its annotations counted) like a plain function.
+std::string strip_template_head(const std::string& head) {
+  static const std::regex kTemplate(R"(^template\s*<)");
+  std::smatch lead;
+  if (!std::regex_search(head, lead, kTemplate)) return head;
+  int depth = 1;
+  for (std::size_t i = static_cast<std::size_t>(lead.length(0)); i < head.size(); ++i) {
+    if (head[i] == '<') ++depth;
+    if (head[i] == '>' && --depth == 0) return trim(std::string_view(head).substr(i + 1));
+  }
+  return head;
+}
+
 /// Last `::` component of a qualified class name.
 std::string class_tail(const std::string& qualified) {
   const std::size_t sep = qualified.rfind("::");
@@ -703,6 +717,7 @@ class ClassIndexer {
     bool pin_escape = false;
     extract_function_annotations(head, requires_locks, deterministic, hot_kernel, blocks,
                                  nonblocking, pin_escape);
+    head = strip_template_head(head);
     const std::vector<std::string> tokens = identifier_tokens(head);
     static const std::array<std::string_view, 6> kSkipLead = {
         "using", "typedef", "friend", "template", "enum", "namespace"};
